@@ -14,7 +14,6 @@ Spearman against :func:`scipy.stats.spearmanr`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from repro._typing import FloatVector
 from repro.errors import EvaluationError
@@ -30,6 +29,10 @@ def spearman_rho(scores_a: FloatVector, scores_b: FloatVector) -> float:
     Returns a value in [-1, 1]; degenerate inputs where either vector is
     constant have undefined correlation and raise.
     """
+    # Imported here, not at module level: scipy.stats is slow to
+    # import, and no serving or tuning path computes a correlation.
+    from scipy.stats import rankdata
+
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

@@ -20,7 +20,6 @@ heatmaps).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro._typing import FloatVector
 from repro.errors import EvaluationError
@@ -44,6 +43,8 @@ def kendall_tau(scores_a: FloatVector, scores_b: FloatVector) -> float:
     implementation) after the same shape checks as
     :func:`~repro.eval.metrics.spearman_rho`.
     """
+    from scipy.stats import kendalltau  # deferred, as in spearman_rho
+
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -56,7 +57,7 @@ def kendall_tau(scores_a: FloatVector, scores_b: FloatVector) -> float:
         raise EvaluationError(
             "Kendall correlation undefined: a score vector is constant"
         )
-    return float(stats.kendalltau(a, b).statistic)
+    return float(kendalltau(a, b).statistic)
 
 
 def overlap_at_k(

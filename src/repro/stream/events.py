@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import reprlib
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -47,8 +50,10 @@ __all__ = [
 #: On-disk format version stamped into the JSONL header line.
 LOG_FORMAT_VERSION = 1
 
+_DECODER = json.JSONDecoder()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PaperEvent:
     """A paper is published at ``time``."""
 
@@ -60,7 +65,7 @@ class PaperEvent:
         return {"type": "paper", "time": self.time, "id": self.paper_id}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationEvent:
     """The paper published at ``time`` (``citing``) cites ``cited``."""
 
@@ -111,52 +116,17 @@ class EventLog:
     """
 
     def __init__(self, events: Iterable[StreamEvent]) -> None:
-        self._events: tuple[StreamEvent, ...] = tuple(events)
-        self._validate()
-
-    def _validate(self) -> None:
-        last_time = -np.inf
-        current_paper: str | None = None
-        seen: set[str] = set()
-        for position, event in enumerate(self._events):
-            if isinstance(event, PaperEvent):
-                if event.paper_id in seen:
-                    raise StreamError(
-                        f"event {position}: duplicate paper event for "
-                        f"{event.paper_id!r}"
-                    )
-                seen.add(event.paper_id)
-                current_paper = event.paper_id
-            elif isinstance(event, CitationEvent):
-                if event.citing != current_paper:
-                    raise StreamError(
-                        f"event {position}: citation from "
-                        f"{event.citing!r} is detached from its citing "
-                        "paper's event (published papers cannot gain "
-                        "references — a citation event must follow its "
-                        "citing paper's event block)"
-                    )
-                if event.cited == event.citing:
-                    raise StreamError(
-                        f"event {position}: self-citation of "
-                        f"{event.citing!r}"
-                    )
-            else:
-                raise StreamError(
-                    f"event {position}: unsupported event type "
-                    f"{type(event).__name__}"
-                )
-            if not np.isfinite(event.time):
-                raise StreamError(
-                    f"event {position}: non-finite event time"
-                )
-            if event.time < last_time:
-                raise StreamError(
-                    f"event {position}: time {event.time} precedes the "
-                    f"previous event's {last_time} — logs are "
-                    "time-ordered"
-                )
-            last_time = event.time
+        # Collected into a list first: a tuple grown from a generator
+        # is re-tracked by the garbage collector at every resize, so
+        # each young collection would walk every event loaded so far.
+        checked = list(_checked(events))
+        self._events: tuple[StreamEvent, ...] = tuple(checked)
+        # Running SHA-256 over the canonical lines of the first
+        # ``_hashed`` events: digest() extends it on demand, so a
+        # replay that checkpoints as it goes hashes each event once.
+        self._digest_lock = threading.Lock()
+        self._hasher = hashlib.sha256()
+        self._hashed = 0
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -206,6 +176,10 @@ class EventLog:
         Checkpoints store this digest so a resume can prove it is
         continuing the *same* stream it stopped in, not a log that
         happens to share a length.
+
+        The log keeps its running hash at the furthest prefix hashed so
+        far, so digests at growing offsets cost O(new events) each; an
+        offset behind that prefix is hashed afresh.
         """
         count = len(self._events) if upto is None else int(upto)
         if count < 0 or count > len(self._events):
@@ -213,11 +187,16 @@ class EventLog:
                 f"digest offset {count} out of range "
                 f"[0, {len(self._events)}]"
             )
-        hasher = hashlib.sha256()
-        for event in self._events[:count]:
-            hasher.update(_event_line(event).encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        with self._digest_lock:
+            extend = count >= self._hashed
+            start = self._hashed if extend else 0
+            # Hash into a copy, so a failed encode leaves the memo whole.
+            hasher = self._hasher.copy() if extend else hashlib.sha256()
+            for event in self._events[start:count]:
+                hasher.update(_event_line(event).encode("utf-8") + b"\n")
+            if extend:
+                self._hasher, self._hashed = hasher, count
+            return hasher.hexdigest()
 
     # ------------------------------------------------------------------
     # Extraction from a snapshot
@@ -308,69 +287,148 @@ class EventLog:
 
     @classmethod
     def load(cls, path: str) -> "EventLog":
-        """Read a log written by :meth:`save`.
+        """Read a log written by :meth:`save`, in one pass over its lines.
 
         Raises
         ------
         DataFormatError
             If the file is missing, is not an event log, declares an
-            unsupported format version, or contains malformed lines.
+            unsupported format version, or holds a line that is not
+            UTF-8, not a JSON object, nested too deeply to parse, or
+            not a well-typed event: ``time`` must be a JSON number
+            that fits a float (not a boolean), and ``id``, ``citing``
+            and ``cited`` must be strings.  Line errors name the file
+            and line.
         StreamError
             If the events parse but violate the streaming contract.
         """
-        if not os.path.exists(path):
-            raise DataFormatError(f"file not found: {path}")
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
+        lines = _read_lines(path)
+        if lines == [""]:
             raise DataFormatError(f"{path}: empty file is not an event log")
         header = _parse_line(path, 1, lines[0])
         if header.get("format") != "repro-event-log":
             raise DataFormatError(
                 f"{path}: not a repro event log (missing header line)"
             )
-        try:
-            declared = int(header.get("log_format_version", -1))
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{path}: malformed log_format_version "
-                f"{header.get('log_format_version')!r}"
-            ) from None
+        declared = _header_int(path, header, "log_format_version", -1)
         if declared != LOG_FORMAT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported log format version {declared} "
                 f"(this build reads version {LOG_FORMAT_VERSION})"
             )
-        events: list[StreamEvent] = []
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            payload = _parse_line(path, number, line)
-            events.append(_event_from_payload(path, number, payload))
-        declared_events = header.get("n_events")
-        if declared_events is not None:
-            try:
-                declared_events = int(declared_events)
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}: malformed n_events {declared_events!r}"
-                ) from None
-            if declared_events != len(events):
-                raise DataFormatError(
-                    f"{path}: header declares {declared_events} events "
-                    f"but the file contains {len(events)} — the log "
-                    "was truncated or concatenated"
+        return cls(
+            _parse_events(path, lines, _header_int(path, header, "n_events"))
+        )
+
+
+def _read_lines(path: str) -> list[str]:
+    """The file's lines, decoded as UTF-8 in one go."""
+    if not os.path.exists(path):
+        raise DataFormatError(f"file not found: {path}")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as error:
+        number = data.count(b"\n", 0, error.start) + 1
+        raise DataFormatError(
+            f"{path}:{number}: not UTF-8 text ({error.reason})"
+        ) from None
+
+
+def _header_int(
+    path: str, header: dict, key: str, default: int | None = None
+) -> int | None:
+    value = header.get(key, default)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataFormatError(
+            f"{path}: malformed {key} {reprlib.repr(value)}"
+        ) from None
+
+
+def _parse_events(
+    path: str, lines: list[str], declared: int | None
+) -> Iterator[StreamEvent]:
+    """Yield the events of ``lines[1:]``, checking the declared count."""
+    count = 0
+    for number, line in enumerate(lines[1:], start=2):
+        if not line or line.isspace():
+            continue
+        payload = _parse_line(path, number, line)
+        yield _event_from_payload(path, number, payload)
+        count += 1
+    if declared is not None and declared != count:
+        raise DataFormatError(
+            f"{path}: header declares {declared} events but the file "
+            f"contains {count} — the log was truncated or concatenated"
+        )
+
+
+def _checked(events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
+    """Yield ``events`` unchanged, raising at the first contract breach."""
+    last_time = -math.inf
+    current_paper: str | None = None
+    seen: set[str] = set()
+    for position, event in enumerate(events):
+        if isinstance(event, PaperEvent):
+            if event.paper_id in seen:
+                raise StreamError(
+                    f"event {position}: duplicate paper event for "
+                    f"{event.paper_id!r}"
                 )
-        return cls(events)
+            seen.add(event.paper_id)
+            current_paper = event.paper_id
+        elif isinstance(event, CitationEvent):
+            if event.citing != current_paper:
+                raise StreamError(
+                    f"event {position}: citation from "
+                    f"{event.citing!r} is detached from its citing "
+                    "paper's event (published papers cannot gain "
+                    "references — a citation event must follow its "
+                    "citing paper's event block)"
+                )
+            if event.cited == event.citing:
+                raise StreamError(
+                    f"event {position}: self-citation of "
+                    f"{event.citing!r}"
+                )
+        else:
+            raise StreamError(
+                f"event {position}: unsupported event type "
+                f"{type(event).__name__}"
+            )
+        if not math.isfinite(event.time):
+            raise StreamError(f"event {position}: non-finite event time")
+        if event.time < last_time:
+            raise StreamError(
+                f"event {position}: time {event.time} precedes the "
+                f"previous event's {last_time} — logs are time-ordered"
+            )
+        last_time = event.time
+        yield event
 
 
 def _parse_line(path: str, number: int, line: str) -> dict:
+    """One line's JSON object (``raw_decode`` skips ``loads``' regexes)."""
+    text = line.strip(" \t\r")
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as error:
+        payload, end = _DECODER.raw_decode(text)
+    except ValueError as error:
         raise DataFormatError(
             f"{path}:{number}: invalid JSON ({error})"
         ) from None
+    except RecursionError:
+        raise DataFormatError(
+            f"{path}:{number}: invalid JSON (nested too deeply)"
+        ) from None
+    if end != len(text):
+        raise DataFormatError(
+            f"{path}:{number}: invalid JSON (extra data at column {end + 1})"
+        )
     if not isinstance(payload, dict):
         raise DataFormatError(
             f"{path}:{number}: expected a JSON object, got "
@@ -380,24 +438,33 @@ def _parse_line(path: str, number: int, line: str) -> dict:
 
 
 def _event_from_payload(path: str, number: int, payload: dict) -> StreamEvent:
+    """The event one line describes; field types are checked, not coerced."""
     kind = payload.get("type")
     try:
+        time = payload["time"]
+        if type(time) is not float:
+            # Only a JSON number is a time: never a boolean (an int
+            # subclass), and an integer must fit a float.
+            if type(time) is not int:
+                raise TypeError(f"time is a {type(time).__name__}")
+            time = float(time)
         if kind == "paper":
-            return PaperEvent(
-                time=float(payload["time"]), paper_id=str(payload["id"])
-            )
+            paper_id = payload["id"]
+            if type(paper_id) is not str:
+                raise TypeError(f"id is a {type(paper_id).__name__}")
+            return PaperEvent(time, paper_id)
         if kind == "cite":
-            return CitationEvent(
-                time=float(payload["time"]),
-                citing=str(payload["citing"]),
-                cited=str(payload["cited"]),
-            )
-    except (KeyError, TypeError, ValueError) as error:
-        raise DataFormatError(
-            f"{path}:{number}: malformed {kind!r} event ({error!r})"
-        ) from None
+            citing, cited = payload["citing"], payload["cited"]
+            if type(citing) is not str or type(cited) is not str:
+                raise TypeError("citing and cited must be strings")
+            return CitationEvent(time, citing, cited)
+    except (KeyError, TypeError, OverflowError) as error:
+        if kind in ("paper", "cite"):
+            raise DataFormatError(
+                f"{path}:{number}: malformed {kind!r} event ({error!r})"
+            ) from None
     raise DataFormatError(
-        f"{path}:{number}: unknown event type {kind!r} "
+        f"{path}:{number}: unknown event type {reprlib.repr(kind)} "
         "(expected 'paper' or 'cite')"
     )
 

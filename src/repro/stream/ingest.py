@@ -31,7 +31,6 @@ Determinism contract
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -46,12 +45,7 @@ from repro.obs.trace import span
 from repro.serve.delta import NetworkDelta
 from repro.serve.score_index import MethodEntry, ScoreIndex
 from repro.serve.service import RankingService
-from repro.stream.events import (
-    CitationEvent,
-    EventLog,
-    PaperEvent,
-    _event_line,
-)
+from repro.stream.events import CitationEvent, EventLog, PaperEvent
 
 __all__ = [
     "StreamIngestor",
@@ -265,10 +259,6 @@ class StreamIngestor:
         self._batches = 0
         self._index: ScoreIndex | None = None
         self._service: RankingService | None = None
-        # Running SHA-256 over the consumed prefix's canonical lines,
-        # advanced batch by batch so checkpoints never re-hash the
-        # whole prefix (which would be quadratic over a long replay).
-        self._hasher = hashlib.sha256()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -387,9 +377,6 @@ class StreamIngestor:
             if sp is not None:
                 sp.set(version=report.version)
         chaos_point("stream.step.advance")
-        for event in events:
-            self._hasher.update(_event_line(event).encode("utf-8"))
-            self._hasher.update(b"\n")
         self._offset = cut
         self._batches += 1
         _BATCH_SECONDS.observe(report.elapsed_seconds)
@@ -412,10 +399,14 @@ class StreamIngestor:
         return report
 
     def prefix_digest(self) -> str:
-        """SHA-256 of the consumed prefix (== ``log.digest(offset)``),
-        maintained incrementally so checkpoints cost O(batch), not
-        O(offset)."""
-        return self._hasher.copy().hexdigest()
+        """SHA-256 of the consumed prefix, ``log.digest(offset)``.
+
+        Computed on demand, never per batch: the log extends its
+        running hash from the furthest prefix it has hashed, so a
+        checkpoint costs O(events since the last digest), not
+        O(offset).
+        """
+        return self._log.digest(self._offset)
 
     def _bootstrap(
         self,
@@ -582,10 +573,6 @@ class StreamIngestor:
         )
         ingestor._offset = state.offset
         ingestor._batches = state.batches_applied
-        # Re-prime the running prefix hash (one pass, at resume only).
-        for event in log.events[: state.offset]:
-            ingestor._hasher.update(_event_line(event).encode("utf-8"))
-            ingestor._hasher.update(b"\n")
         ingestor._index = index
         ingestor._service = RankingService(
             index,

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import DataFormatError, StreamError
+from repro.errors import DataFormatError, ReproError, StreamError
 from repro.stream import (
     CitationEvent,
     EventLog,
@@ -194,3 +198,144 @@ class TestHeaderHardening:
         )
         with pytest.raises(DataFormatError, match="malformed n_events"):
             EventLog.load(str(path))
+
+
+_HEADER = b'{"format": "repro-event-log", "log_format_version": 1}\n'
+_PAPER_A = b'{"type": "paper", "time": 2000.0, "id": "a"}\n'
+
+
+class TestHostileLines:
+    """Each malformed line is a DataFormatError naming file and line,
+    never a stray builtin exception or a silently coerced value."""
+
+    @pytest.mark.parametrize(
+        ("body", "line"),
+        [
+            pytest.param(
+                _PAPER_A
+                + b'{"type": "paper", "time": 2001.0, "id": "\xff"}\n',
+                3,
+                id="non-utf8-bytes",
+            ),
+            pytest.param(
+                b'{"type": "paper", "time": 1'
+                + b"0" * 400
+                + b', "id": "a"}\n',
+                2,
+                id="time-overflows-float",
+            ),
+            pytest.param(b"[" * 100_000 + b"\n", 2, id="deep-nesting"),
+            pytest.param(
+                b'{"type": "paper", "time": true, "id": "a"}\n',
+                2,
+                id="boolean-time",
+            ),
+            pytest.param(
+                b'{"type": "paper", "time": 2000.0, "id": {"a": 1}}\n',
+                2,
+                id="non-string-id",
+            ),
+            pytest.param(
+                _PAPER_A
+                + b'{"type": "cite", "time": 2000.0, "citing": 7, '
+                b'"cited": "b"}\n',
+                3,
+                id="non-string-citing",
+            ),
+            pytest.param(
+                _PAPER_A
+                + b'{"type": "cite", "time": 2000.0, "citing": "a", '
+                b'"cited": ["b"]}\n',
+                3,
+                id="non-string-cited",
+            ),
+        ],
+    )
+    def test_typed_error_names_file_and_line(self, tmp_path, body, line):
+        path = tmp_path / "hostile.jsonl"
+        path.write_bytes(_HEADER + body)
+        with pytest.raises(
+            DataFormatError, match=re.escape(f"{path}:{line}:")
+        ):
+            EventLog.load(str(path))
+
+
+def _damage(data: bytes, draw) -> bytes:
+    """Apply one random truncation, byte flip, or line duplication/drop."""
+    kind = draw(st.sampled_from(["truncate", "flip", "duplicate", "drop"]))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        mask = draw(st.integers(1, 255))
+        return data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+    lines = data.split(b"\n")
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
+        return b"\n".join(lines[: at + 1] + lines[at:])
+    return b"\n".join(lines[:at] + lines[at + 1:])
+
+
+_IDS = st.text(min_size=1, max_size=6)
+_TIMES = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _logs(draw) -> EventLog:
+    """Valid logs: unique ids (any unicode), sorted times, and each
+    paper citing earlier papers or ids outside the log."""
+    ids = draw(st.lists(_IDS, min_size=1, max_size=12, unique=True))
+    times = sorted(
+        draw(st.lists(_TIMES, min_size=len(ids), max_size=len(ids)))
+    )
+    events = []
+    for position, (paper, time) in enumerate(zip(ids, times)):
+        events.append(PaperEvent(time=time, paper_id=paper))
+        cited = draw(
+            st.lists(
+                st.sampled_from(ids[:position]) if position else _IDS,
+                max_size=3,
+            )
+        )
+        events.extend(
+            CitationEvent(time=time, citing=paper, cited=target)
+            for target in cited
+            if target != paper
+        )
+    return EventLog(events)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_log_loads_or_raises_a_repro_error(
+        self, tmp_path_factory, data
+    ):
+        from repro.synth import toy_network
+
+        path = tmp_path_factory.mktemp("fuzz") / "events.jsonl"
+        EventLog.from_network(toy_network()).save(str(path))
+        damaged = path.read_bytes()
+        for _ in range(data.draw(st.integers(1, 3))):
+            if damaged:
+                damaged = _damage(damaged, data.draw)
+        path.write_bytes(damaged)
+        try:
+            EventLog.load(str(path))
+        except ReproError:
+            pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(log=_logs())
+    def test_save_load_round_trip(self, tmp_path_factory, log):
+        path = str(tmp_path_factory.mktemp("fuzz") / "events.jsonl")
+        log.save(path)
+        loaded = EventLog.load(path)
+        assert loaded == log
+        assert loaded.digest() == log.digest()
+        # Bit-exact times: repr tells -0.0 from 0.0, which == does not.
+        assert [repr(event.time) for event in loaded] == [
+            repr(event.time) for event in log
+        ]
