@@ -11,14 +11,15 @@ payload alone.
 A :class:`FaultInjector` arms a plan process-wide for the duration of
 a ``with`` block.  Call sites visit their point via
 :func:`repro.chaos.points.chaos_point`; the injector counts
-invocations per point (thread-safely — gateway points fire from
-executor threads) and manifests the planned fault exactly once.
+invocations per point (thread-safely — points fire from the event
+loop and from executor threads) and manifests the planned fault
+exactly once.
 
 Crash fidelity
 --------------
 :class:`InjectedCrash` derives from ``BaseException``, not
 ``Exception``: a simulated ``kill -9`` must not be swallowed by the
-gateway's 500 handler, the coalescer's executor-failure net, or any
+gateway's 500 handler, the coalescer's backend-failure net, or any
 other broad ``except Exception`` between the point and the harness.
 The save paths' crash-time cleanup was likewise rewritten from
 ``finally`` to ``except Exception`` so an injected crash leaves the

@@ -48,7 +48,8 @@ __all__ = ["FaultPoint", "FAULT_POINTS", "fault_point", "chaos_point"]
 #:     response writer declares it).
 #: ``delay``
 #:     Sleeps ``FaultSpec.delay_seconds`` at the point, then continues
-#:     normally — for holding a batch in flight while a drain starts.
+#:     normally — for a step that stalls, such as a coalesced batch
+#:     holding up the event loop it runs on.
 KINDS = ("crash", "disconnect", "torn", "delay")
 
 
@@ -251,8 +252,10 @@ FAULT_POINTS: tuple[FaultPoint, ...] = (
         name="gateway.batch.execute",
         module="repro.gateway.coalesce",
         description=(
-            "a coalesced engine batch held in flight while a drain "
-            "may be starting — admitted work must still complete"
+            "a coalesced engine batch that stalls — it runs inline on "
+            "the event loop, so admission, reads and writes wait "
+            "behind it; admitted work must still complete, also when "
+            "a drain has begun"
         ),
         kinds=("delay",),
         scenario="gateway",

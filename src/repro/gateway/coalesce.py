@@ -6,10 +6,27 @@ a *batch* of queries — but HTTP requests arrive one at a time.  The
 natural-batching loop: requests park in a pending list, a single
 worker task drains the list into one
 :meth:`~repro.serve.RankingService.execute_batch` call, and every
-request that arrives *while that batch executes* accumulates into the
-next one.  Under light load batches have size 1 (no added latency);
-under heavy load batch size grows with concurrency, which is exactly
-when amortisation pays.
+request parked while the worker is busy accumulates into the next one.
+Under light load batches have size 1 (no added latency); under heavy
+load batch size grows with concurrency, which is exactly when
+amortisation pays.
+
+Batches run *on the event loop*, inline in the worker task: a read
+batch is short, and handing it to an executor thread and back (a
+thread wake-up, a hand-off of the interpreter lock, a wake-up of the
+loop) cost more CPU than the batch itself.  The price is that a slow
+batch stalls the loop for its whole duration, and admission decisions,
+socket reads and response writes wait behind it; requests whose bytes
+arrive meanwhile are parsed afterwards and park together for the next
+batch.  Slow batches are the exception: an injected
+``gateway.batch.execute`` delay, or the first read of a shard file in
+the detached shard-directory mode.  When more requests are pending
+than one batch takes, the worker yields to the loop between batches,
+so each batch's responses are written before the next batch runs.
+Only the stream updater's micro-batches
+(:meth:`RequestCoalescer.exclusively`), each a re-solve of the index,
+still run in the default executor, so the loop keeps parsing and
+admitting requests while one applies.
 
 Correctness guarantees:
 
@@ -101,8 +118,8 @@ class RequestCoalescer:
         self._max_batch = int(max_batch)
         self._metrics = metrics
         # (query, future, submitter context, submitter request id):
-        # run_in_executor does NOT propagate contextvars, so the batch
-        # is executed under the first submitter's copied context — the
+        # the worker task has a context of its own, so the batch is
+        # executed under the first submitter's copied context — the
         # engine's spans and log lines join that leader request's
         # trace, with the whole batch's request ids attached as attrs.
         self._pending: list[
@@ -197,7 +214,6 @@ class RequestCoalescer:
     # The drain worker
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not self._pending:
                 if self._closed:
@@ -212,33 +228,36 @@ class RequestCoalescer:
             del self._pending[: len(batch)]
             queries = [query for query, _, _, _ in batch]
             # The first submitter leads the batch: its copied context
-            # carries its request id and open trace into the executor,
+            # carries its request id and open trace into the engine,
             # so the engine's spans nest under that request's tree.
             leader_ctx = batch[0][2]
             request_ids = [rid for _, _, _, rid in batch if rid]
             try:
                 async with self._lock:
-                    version, outcomes = await loop.run_in_executor(
-                        None,
-                        leader_ctx.run,
-                        self._execute_traced,
-                        queries,
-                        request_ids,
+                    version, outcomes = leader_ctx.run(
+                        self._execute_traced, queries, request_ids
                     )
-            except Exception as error:  # executor / backend breakage
+            except Exception as error:  # backend breakage
                 for _, future, _, _ in batch:
                     if not future.done():
                         future.set_exception(error)
-                continue
-            if self._metrics is not None:
-                self._metrics.batch_sizes.observe(len(batch))
-            for (_, future, _, _), outcome in zip(batch, outcomes):
-                if future.done():  # client went away mid-batch
-                    continue
-                if isinstance(outcome, ReproError):
-                    future.set_exception(outcome)
-                else:
-                    future.set_result((version, outcome))
+            else:
+                if self._metrics is not None:
+                    self._metrics.batch_sizes.observe(len(batch))
+                for (_, future, _, _), outcome in zip(batch, outcomes):
+                    if future.done():  # client went away mid-batch
+                        continue
+                    if isinstance(outcome, ReproError):
+                        future.set_exception(outcome)
+                    else:
+                        future.set_result((version, outcome))
+            if self._pending:
+                # Neither the inline batch nor an uncontended lock
+                # suspends, so a backlog beyond max_batch would run
+                # batch after batch with the loop stalled.  Yield once:
+                # this batch's submitters write their responses before
+                # the next batch executes.
+                await asyncio.sleep(0)
 
     def _backend_execute(
         self, queries: Sequence[Query]
@@ -250,7 +269,7 @@ class RequestCoalescer:
     def _execute_traced(
         self, queries: Sequence[Query], request_ids: Sequence[str]
     ) -> tuple[int, list[Any]]:
-        """The executor entry point: one traced engine batch.
+        """The worker's entry point: one traced engine batch.
 
         Runs under the leader's copied context, so the ``engine.batch``
         span (annotated with every coalesced request id) lands in the
@@ -271,10 +290,11 @@ class RequestCoalescer:
     ) -> tuple[int, list[Any]]:
         """One engine batch; on failure, per-query error attribution.
 
-        Runs in the executor thread, always under ``self._lock`` — so
-        at most one engine batch (or one stream update) touches the
-        serving state at a time, and the fallback's one-element batches
-        all see the same version as each other.
+        Runs on the event loop's thread, always under ``self._lock`` —
+        so no stream update (which runs on an executor thread, under
+        the same lock) touches the serving state meanwhile, and the
+        fallback's one-element batches all see the same version as
+        each other.
         """
         chaos_point("gateway.batch.execute")
         version, outcomes = execute_with_attribution(

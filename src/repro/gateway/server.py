@@ -51,7 +51,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import SplitResult, parse_qs, unquote, urlsplit
 
 from repro.chaos.faults import InjectedDisconnect
 from repro.chaos.points import chaos_point
@@ -444,11 +444,13 @@ class GatewayServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str]] | None:
+    ) -> tuple[str, str, SplitResult, dict[str, str]] | None:
         """Parse one request; ``None`` on clean EOF.
 
-        Raises :class:`~repro.errors.GatewayError` on a request the
-        parser refuses (oversized lines, malformed request line, too
+        Returns the method, the raw target, the target split into its
+        URL parts, and the headers.  Raises
+        :class:`~repro.errors.GatewayError` on a request the parser
+        refuses (oversized lines, malformed request line or target, too
         many headers) — the caller answers 400 and closes.
         """
         chaos_point("gateway.request.read")
@@ -466,6 +468,12 @@ class GatewayServer:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise GatewayError(f"malformed request line: {parts[:2]}")
         method, target, _http_version = parts
+        try:
+            split = urlsplit(target)
+        except ValueError as error:  # e.g. an unclosed IPv6 bracket
+            raise GatewayError(
+                f"malformed request target ({error})"
+            ) from None
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
             try:
@@ -475,7 +483,7 @@ class GatewayServer:
             if len(line) > _MAX_LINE:
                 raise GatewayError("header line too long")
             if line in (b"\r\n", b"\n"):
-                return method.upper(), target, headers
+                return method.upper(), target, split, headers
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raise GatewayError("too many request headers")
@@ -485,11 +493,11 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
         method: str,
         target: str,
+        split: SplitResult,
         headers: Mapping[str, str],
     ) -> bool:
         started = time.perf_counter()
         keep_alive = headers.get("connection", "").lower() != "close"
-        split = urlsplit(target)
         path = split.path
         params = parse_qs(split.query)
         endpoint = self._endpoint_of(path)
@@ -594,7 +602,7 @@ class GatewayServer:
                             )
                         except Exception as error:
                             # Non-ReproError breakage (the coalescer
-                            # forwards arbitrary executor failures):
+                            # forwards arbitrary backend failures):
                             # answer 500 rather than dropping the
                             # connection — and fall through to the
                             # finally below, so the admitted slot is

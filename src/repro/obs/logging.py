@@ -3,8 +3,8 @@
 One log line is one JSON object on stderr — machine-parseable under
 load, greppable by request id.  The request id itself lives in a
 :data:`contextvars.ContextVar`: the gateway binds one per request, the
-coalescer carries each submitter's context across the executor handoff,
-and a :class:`logging.Filter` stamps the current id onto every record
+coalescer runs each batch under its leading submitter's context, and a
+:class:`logging.Filter` stamps the current id onto every record
 at call time — so a log line emitted three layers below the gateway
 still correlates with the ``X-Request-Id`` header the client saw.
 

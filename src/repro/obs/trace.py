@@ -14,10 +14,11 @@ Cost model: tracing is off until :func:`enable_tracing` installs a
 collector, and even then a context without an active trace pays one
 contextvar read per :func:`span` call — the serving layers keep their
 instrumentation inline and the no-op path stays out of every profile.
-Propagation across threads is explicit: the coalescer and the query
-engine copy the submitting context into their executors, which is what
-keeps a span (and the request id riding the same context) attached to
-the request that caused the work.
+Propagation is explicit: the coalescer runs each batch under its
+leading request's copied context, and the query engine copies that
+context into its shard threads, which is what keeps a span (and the
+request id riding the same context) attached to the request that
+caused the work.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -167,12 +168,31 @@ def pairwise_overlap(
 def _normalise_span(
     year_range: tuple[float, float] | None
 ) -> tuple[float, float] | None:
+    """Validate a year filter; return the canonical float span."""
     if year_range is None:
         return None
     lo, hi = float(year_range[0]), float(year_range[1])
+    # NaN compares false both ways: it would pass the order check,
+    # match no paper, and give every repeat a result-cache key of its
+    # own (two NaN floats never compare equal).
+    if math.isnan(lo) or math.isnan(hi):
+        raise ConfigurationError(
+            f"year range bounds must be numbers, got ({lo}, {hi})"
+        )
     if lo > hi:
         raise ConfigurationError(f"empty year range: {lo} > {hi}")
     return (lo, hi)
+
+
+def _normalise_page(
+    k: int, offset: int, year_range: tuple[float, float] | None
+) -> tuple[float, float] | None:
+    """Validate one page request; return the canonical float span."""
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
+    if offset < 0:
+        raise ConfigurationError(f"offset must be >= 0, got {offset}")
+    return _normalise_span(year_range)
 
 
 @dataclass(frozen=True)
@@ -305,14 +325,16 @@ class QueryEngine:
 
         for query in queries:
             if isinstance(query, TopKQuery):
-                self._check_page(query.k, query.offset)
-                span = _normalise_span(query.year_range)
+                span = _normalise_page(
+                    query.k, query.offset, query.year_range
+                )
                 require(
                     query.method.upper(), span, query.offset + query.k
                 )
             elif isinstance(query, CompareQuery):
-                self._check_page(query.k, query.offset)
-                span = _normalise_span(query.year_range)
+                span = _normalise_page(
+                    query.k, query.offset, query.year_range
+                )
                 upper = [m.upper() for m in query.methods]
                 if len(set(upper)) != len(upper):
                     raise ConfigurationError(
@@ -330,13 +352,6 @@ class QueryEngine:
                     f"unsupported query type: {type(query).__name__}"
                 )
         return needs
-
-    @staticmethod
-    def _check_page(k: int, offset: int) -> None:
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if offset < 0:
-            raise ConfigurationError(f"offset must be >= 0, got {offset}")
 
     # -- shard phase ----------------------------------------------------
     def _run_shard_phase(

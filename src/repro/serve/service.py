@@ -38,6 +38,7 @@ from repro.serve.batch import (
     Query,
     QueryEngine,
     TopKQuery,
+    _normalise_page,
     pairwise_overlap,
 )
 from repro.serve.cache import CacheStats, LRUCache
@@ -58,22 +59,6 @@ __all__ = [
     "MethodComparison",
     "PaperDetails",
 ]
-
-
-def _normalise_page(
-    k: int, offset: int, year_range: tuple[float, float] | None
-) -> tuple[float, float] | None:
-    """Validate one page request; return the canonical float span."""
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if offset < 0:
-        raise ConfigurationError(f"offset must be >= 0, got {offset}")
-    if year_range is None:
-        return None
-    lo, hi = float(year_range[0]), float(year_range[1])
-    if lo > hi:
-        raise ConfigurationError(f"empty year range: {lo} > {hi}")
-    return (lo, hi)
 
 
 class RankingService:

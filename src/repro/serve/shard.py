@@ -173,9 +173,9 @@ class Shard:
         Per-method score slices, parallel to ``global_indices``.
 
     A shard memoises its per-method orderings (and filtered variants)
-    on first use; the store drops and rebuilds shards on
-    :meth:`ShardedScoreIndex.sync`, which is what keeps memos honest
-    across versions.
+    and rank-search keys on first use; the store drops and rebuilds
+    shards on :meth:`ShardedScoreIndex.sync`, which is what keeps memos
+    honest across versions.
     """
 
     def __init__(
@@ -202,6 +202,9 @@ class Shard:
         # spans are user input and capped (FIFO) so arbitrary query
         # filters cannot grow the memo without bound.
         self._orders: dict[tuple[str, tuple[float, float] | None], IntVector] = {}
+        # label -> the negated scores in full order (ascending): the
+        # binary-search keys of count_ranked_before.
+        self._rank_keys: dict[str, FloatVector] = {}
         self._id_index: dict[str, int] | None = None
 
     #: Maximum memoised *filtered* orders per shard (full per-method
@@ -305,15 +308,18 @@ class Shard:
         A paper ranks before ``(score, global_index)`` iff its score is
         higher, or equal with a smaller global index — the same
         tie-break the rankings use.  Binary search over the shard's
-        descending score order keeps this O(log n) + O(ties).
+        descending score order keeps this O(log n) + O(ties); the
+        search keys are built once per method, on first use.
         """
         order = self.order(label, None)
-        if order.size == 0:
-            return 0
-        ordered_scores = self._score_vector(label)[order]
-        # ordered_scores is descending; search its negation (ascending).
-        lo = int(np.searchsorted(-ordered_scores, -score, side="left"))
-        hi = int(np.searchsorted(-ordered_scores, -score, side="right"))
+        keys = self._rank_keys.get(label)
+        if keys is None:
+            # The ordered scores are descending; search their negation.
+            keys = -self._score_vector(label)[order]
+            keys.setflags(write=False)
+            self._rank_keys[label] = keys
+        lo = int(np.searchsorted(keys, -score, side="left"))
+        hi = int(np.searchsorted(keys, -score, side="right"))
         ties = self.global_indices[order[lo:hi]]
         return lo + int(np.count_nonzero(ties < global_index))
 

@@ -18,6 +18,7 @@ import importlib
 import inspect
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -267,8 +268,8 @@ class TestOrphanCleanup:
 
 
 # ----------------------------------------------------------------------
-# Drain under load (satellite 3): a delayed coalesced batch holds a
-# client's request in flight while stop() begins.
+# Drain under load: stop() begins while a client's request is admitted
+# and unanswered, and its engine batch then runs under a delay fault.
 # ----------------------------------------------------------------------
 class TestDrainUnderLoad:
     def test_inflight_completes_new_connections_refused_no_5xx(self):
@@ -285,20 +286,49 @@ class TestDrainUnderLoad:
             delay_seconds=0.4,
         )
 
+        async def wait_until(condition):
+            deadline = time.monotonic() + 5.0
+            while not condition():
+                assert time.monotonic() < deadline, "condition never held"
+                await asyncio.sleep(0.005)
+
         async def drive():
             server = GatewayServer(service, config=GatewayConfig(port=0))
             await server.start()
             host, port = server.config.host, server.port
+            # Read batches run inline on the event loop, so the delayed
+            # batch would finish before stop() could start.  Hold the
+            # batch lock the way an updater micro-batch does until the
+            # drain has begun; only then does the delayed batch run.
+            held, release = threading.Event(), threading.Event()
+
+            def hold_batches():
+                held.set()
+                release.wait(5.0)
+
+            hold = asyncio.ensure_future(
+                server.coalescer.exclusively(hold_batches)
+            )
+            await wait_until(held.is_set)
+            drain_began_with = []
+            start_draining = server.admission.start_draining
+
+            def recording_start_draining():
+                drain_began_with.append(server.admission.active)
+                start_draining()
+
+            server.admission.start_draining = recording_start_draining
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
                 f"GET /v1/top?method=CC&k=3 HTTP/1.1\r\n"
                 f"Host: {host}\r\nConnection: close\r\n\r\n".encode()
             )
             await writer.drain()
-            # Let the request enter the delayed engine batch, then
-            # start the graceful drain while it is still executing.
-            await asyncio.sleep(0.1)
+            await wait_until(lambda: server.admission.active == 1)
             stop_task = asyncio.ensure_future(server.stop())
+            await wait_until(lambda: server.admission.draining)
+            release.set()
+            await hold
             head = await reader.readuntil(b"\r\n\r\n")
             status = int(head.split(b" ")[1])
             length = int(
@@ -316,11 +346,16 @@ class TestDrainUnderLoad:
                 await asyncio.open_connection(host, port)
             except (ConnectionRefusedError, OSError):
                 refused = True
-            return status, document, refused, server.metrics
+            return status, document, refused, server.metrics, drain_began_with
 
         with FaultInjector(plan) as injector:
-            status, document, refused, metrics = asyncio.run(drive())
+            status, document, refused, metrics, drain_began_with = (
+                asyncio.run(drive())
+            )
 
+        # The drain began with the request admitted and not yet
+        # answered (a slot is released only after the body is flushed).
+        assert drain_began_with == [1]
         assert [f.point for f in injector.fired] == [
             "gateway.batch.execute"
         ]

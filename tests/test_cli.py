@@ -391,6 +391,37 @@ class TestErrors:
         assert documents[2]["type"] == "error"
         assert documents[2]["error"] == "ConfigurationError"
 
+    def test_batch_rejects_nan_year_bounds(self, tmp_path, capsys):
+        """A NaN bound (JSON's NaN literal or the string "nan") is a
+        typed error in its slot, not a silently empty ranking."""
+        from repro.synth import toy_network
+
+        net_path = str(tmp_path / "toy.npz")
+        save_network(toy_network(), net_path)
+        index_path = str(tmp_path / "toy-index.npz")
+        assert main(
+            ["index", "--input", net_path, "--output", index_path,
+             "--methods", "CC", "PR"]
+        ) == 0
+        capsys.readouterr()
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([
+            {"type": "top_k", "method": "CC", "year_min": float("nan")},
+            {"type": "compare", "methods": ["CC", "PR"],
+             "year_max": "nan"},
+            {"type": "top_k", "method": "CC", "year_min": 2000},
+        ]))
+        code = main(["query", "--index", index_path, "--batch", str(batch)])
+        assert code == 1
+        documents = json.loads(capsys.readouterr().out)
+        assert [doc["type"] for doc in documents] == [
+            "error", "error", "top_k"
+        ]
+        assert {doc["error"] for doc in documents[:2]} == {
+            "ConfigurationError"
+        }
+        assert documents[2]["entries"]
+
 
 class TestCompare:
     def test_compare_prints_series_and_winners(self, hepth_file, capsys):

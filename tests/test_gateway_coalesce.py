@@ -2,10 +2,12 @@
 
 Each test drives a real event loop via ``asyncio.run`` (no plugin
 needed): submits race each other, batches form naturally behind the
-executor, and results must be bit-identical to direct service calls.
+drain worker, and results must be bit-identical to direct service
+calls.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -189,3 +191,88 @@ class TestCoalescing:
     def test_bad_max_batch_rejected(self):
         with pytest.raises(GatewayError):
             RequestCoalescer(_make_service(), max_batch=0)
+
+
+class TestWhereWorkRuns:
+    """Read batches run inline on the event loop; updates do not."""
+
+    def test_read_batches_run_on_the_event_loop_thread(self):
+        service = _make_service()
+        batch_threads = []
+
+        async def main():
+            coalescer = RequestCoalescer(service)
+            backend_execute = coalescer._backend_execute
+
+            def recording(queries):
+                batch_threads.append(threading.get_ident())
+                return backend_execute(queries)
+
+            coalescer._backend_execute = recording
+            try:
+                await asyncio.gather(
+                    coalescer.submit(TopKQuery(method="CC", k=2)),
+                    coalescer.submit(PaperQuery(paper_id="A")),
+                )
+                await coalescer.submit(TopKQuery(method="PR", k=2))
+            finally:
+                await coalescer.close()
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(main())
+        assert batch_threads
+        assert set(batch_threads) == {loop_thread}
+
+    def test_exclusive_work_runs_off_the_event_loop_thread(self):
+        service = _make_service()
+
+        async def main():
+            coalescer = RequestCoalescer(service)
+            await coalescer.start()
+            try:
+                worker_thread = await coalescer.exclusively(
+                    threading.get_ident
+                )
+            finally:
+                await coalescer.close()
+            return threading.get_ident(), worker_thread
+
+        loop_thread, worker_thread = asyncio.run(main())
+        assert worker_thread != loop_thread
+
+    def test_backlog_yields_between_batches(self):
+        # Four pending queries, two per batch: the first batch's
+        # submitters must resume (and so could write their responses)
+        # before the second batch runs on the loop.
+        service = _make_service()
+        events = []
+
+        async def main():
+            coalescer = RequestCoalescer(service, max_batch=2)
+            backend_execute = coalescer._backend_execute
+
+            def recording(queries):
+                events.append(("batch", len(queries)))
+                return backend_execute(queries)
+
+            coalescer._backend_execute = recording
+
+            async def client(i):
+                await coalescer.submit(TopKQuery(method="CC", k=i + 1))
+                events.append(("resumed", i))
+
+            await coalescer.start()
+            try:
+                await asyncio.gather(*(client(i) for i in range(4)))
+            finally:
+                await coalescer.close()
+
+        asyncio.run(main())
+        assert events == [
+            ("batch", 2),
+            ("resumed", 0),
+            ("resumed", 1),
+            ("batch", 2),
+            ("resumed", 2),
+            ("resumed", 3),
+        ]

@@ -9,6 +9,7 @@ updates, load shedding under overload, and drain-on-shutdown.
 import asyncio
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -173,6 +174,58 @@ class TestRoutesAndErrors:
         assert b"Connection: close" in head
         assert trailing == b""
         assert follow_up[0] == 200
+
+    def test_unparseable_target_gets_400_not_a_dropped_connection(self):
+        """A target the URL parser rejects (an unclosed IPv6 bracket)
+        is answered with a typed 400 like any other malformed request,
+        not an empty reply and a task traceback."""
+        service = _make_service()
+
+        async def main():
+            server = GatewayServer(service, config=GatewayConfig(port=0))
+            await server.start()
+            host, port = server.config.host, server.port
+            try:
+                status, headers, body = await _get_raw(
+                    host, port, "http://[::1/v1/top"
+                )
+                follow_up = await _get(host, port, "/v1/healthz")
+                return status, headers, json.loads(body), follow_up
+            finally:
+                await server.stop()
+
+        status, headers, document, follow_up = asyncio.run(main())
+        assert status == 400
+        assert document["error"]["type"] == "GatewayError"
+        assert "request target" in document["error"]["message"]
+        assert headers["connection"] == "close"
+        assert follow_up[0] == 200
+
+    def test_nan_year_bound_is_a_typed_400_and_never_cached(self):
+        """NaN passes every order check and matches nothing: it must be
+        refused, not answered with an empty page and a cache entry no
+        later request can hit."""
+        service = _make_service()
+
+        async def main():
+            server = GatewayServer(service, config=GatewayConfig(port=0))
+            await server.start()
+            host, port = server.config.host, server.port
+            try:
+                return [
+                    await _get(host, port, "/v1/top?method=CC&year_min=nan")
+                    for _ in range(4)
+                ]
+            finally:
+                await server.stop()
+
+        outcomes = asyncio.run(main())
+        assert [status for status, _ in outcomes] == [400] * 4
+        assert {doc["error"]["type"] for _, doc in outcomes} == {
+            "ConfigurationError"
+        }
+        stats = service.cache_stats()
+        assert (stats.misses, stats.size) == (0, 0)
 
     def test_keep_alive_connection_reuse(self):
         service = _make_service()
@@ -400,34 +453,52 @@ class TestLoadShedding:
 
 
 class TestDrain:
-    def test_stop_finishes_inflight_then_refuses(self, monkeypatch):
+    def test_stop_finishes_inflight_then_refuses(self):
         service = _make_service()
-        real = service.execute_batch
 
-        def slow_execute(queries):
-            time.sleep(0.1)
-            return real(queries)
-
-        monkeypatch.setattr(service, "execute_batch", slow_execute)
+        async def wait_until(condition):
+            deadline = time.monotonic() + 5.0
+            while not condition():
+                assert time.monotonic() < deadline, "condition never held"
+                await asyncio.sleep(0.005)
 
         async def main():
             server = GatewayServer(service, config=GatewayConfig(port=0))
             await server.start()
             host, port = server.config.host, server.port
+            # Read batches run inline on the event loop: hold the batch
+            # lock (as an updater micro-batch would) so the request is
+            # still unanswered when the drain begins.
+            held, release = threading.Event(), threading.Event()
+
+            def hold_batches():
+                held.set()
+                release.wait(5.0)
+
+            hold = asyncio.ensure_future(
+                server.coalescer.exclusively(hold_batches)
+            )
+            await wait_until(held.is_set)
             inflight = asyncio.ensure_future(
                 _get(host, port, "/v1/top?method=CC&k=2")
             )
-            await asyncio.sleep(0.03)   # request reaches the executor
-            await server.stop()         # drain must wait for it
+            await wait_until(lambda: server.admission.active == 1)
+            stopping = asyncio.ensure_future(server.stop())
+            await wait_until(lambda: server.admission.draining)
+            answered_before_release = inflight.done()
+            release.set()
+            await hold
+            await stopping              # drain must wait for it
             status, document = await inflight
             refused = False
             try:
                 await _get(host, port, "/v1/healthz")
             except (ConnectionRefusedError, OSError):
                 refused = True
-            return status, document, refused
+            return status, document, refused, answered_before_release
 
-        status, document, refused = asyncio.run(main())
+        status, document, refused, answered_early = asyncio.run(main())
+        assert not answered_early       # the drain began first
         assert status == 200            # the admitted request finished
         assert document["result"]["entries"]
         assert refused                  # the listener is gone

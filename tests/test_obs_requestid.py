@@ -1,12 +1,13 @@
 """Request-id isolation under concurrency.
 
 The request id lives in a :data:`contextvars.ContextVar`; the gateway
-binds one per request and the coalescer copies each submitter's
-context across its executor hand-off.  These tests prove the id never
-*leaks*: a task (or thread) always observes the id it bound, no matter
-how its requests interleave with others inside shared batches — the
-hypothesis cases drive randomised fleets of concurrently coalesced
-submits, the threaded cases hammer the logging filter directly.
+binds one per request, and the coalescer copies each submitter's
+context when the query parks and runs the batch under its leader's
+copy.  These tests prove the id never *leaks*: a task (or thread)
+always observes the id it bound, no matter how its requests
+interleave with others inside shared batches — the hypothesis cases
+drive randomised fleets of concurrently coalesced submits, the
+threaded cases hammer the logging filter directly.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, IndexIntegrityError
 from repro.serve import (
@@ -10,7 +12,12 @@ from repro.serve import (
     ScoreIndex,
     ShardedScoreIndex,
 )
-from repro.serve.shard import _hash_assign, hash_shard_of, year_boundaries
+from repro.serve.shard import (
+    Shard,
+    _hash_assign,
+    hash_shard_of,
+    year_boundaries,
+)
 
 
 @pytest.fixture
@@ -254,6 +261,120 @@ class TestSpanMemoBound:
         for start in range(shard.MAX_SPAN_MEMOS + 5):
             shard.order("PR", (1800.0 + start, 1801.0 + start))
         assert (shard.order("PR", span) == first).all()
+
+
+@st.composite
+def _partitioned_scores(draw):
+    """Scores with forced ties, and an owning shard per global row.
+
+    Drawing scores from a pool of at most four values makes ties the
+    rule; small corpora over up to 7 shards leave shards empty.
+    """
+    n_papers = draw(st.integers(min_value=0, max_value=30))
+    n_shards = draw(st.sampled_from([1, 2, 7]))
+    pool = draw(
+        st.lists(
+            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    scores = draw(
+        st.lists(
+            st.sampled_from(pool), min_size=n_papers, max_size=n_papers
+        )
+    )
+    owners = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_shards - 1),
+            min_size=n_papers,
+            max_size=n_papers,
+        )
+    )
+    return np.asarray(scores, dtype=np.float64), np.asarray(owners), n_shards
+
+
+class TestRankCountOracle:
+    """``count_ranked_before`` against a brute-force count.
+
+    The oracle shares no code with the shard: a paper ranks before
+    ``(score, gi)`` iff its score is higher, or equal with a smaller
+    global index.
+    """
+
+    @staticmethod
+    def _shards(scores, owners, n_shards):
+        shards = []
+        for shard_id in range(n_shards):
+            owned = np.nonzero(owners == shard_id)[0]
+            shards.append(
+                Shard(
+                    shard_id,
+                    owned,
+                    [f"P{i}" for i in owned],
+                    np.zeros(owned.size),
+                    {"X": scores[owned]},
+                )
+            )
+        return shards
+
+    @given(_partitioned_scores(), st.data())
+    def test_matches_brute_force_count(self, partitioned, data):
+        scores, owners, n_shards = partitioned
+        shards = self._shards(scores, owners, n_shards)
+        rows = [(float(s), gi) for gi, s in enumerate(scores)]
+        # Probes off the rows too: scores outside the pool's range, and
+        # global indices past both ends.
+        probe_scores = [float(s) for s in scores] + [-2.0, 0.0, 2.0]
+        rows += data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(probe_scores),
+                    st.integers(min_value=-1, max_value=scores.size + 1),
+                ),
+                max_size=5,
+            )
+        )
+        g = np.arange(scores.size)
+        for score, gi in rows:
+            expected = (scores > score) | ((scores == score) & (g < gi))
+            for shard in shards:
+                mine = owners == shard.shard_id
+                assert shard.count_ranked_before("X", score, gi) == int(
+                    np.count_nonzero(expected & mine)
+                )
+            assert sum(
+                shard.count_ranked_before("X", score, gi)
+                for shard in shards
+            ) == int(np.count_nonzero(expected))
+
+    def test_repeated_calls_reuse_one_key_array(self, indexed, monkeypatch):
+        shard = ShardedScoreIndex.from_index(indexed, n_shards=2).shard(0)
+        searched = []
+        searchsorted = np.searchsorted
+
+        def spy(keys, value, *args, **kwargs):
+            searched.append(keys)
+            return searchsorted(keys, value, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+
+        def keys_searched(label):
+            searched.clear()
+            for row in range(3):
+                shard.count_ranked_before(
+                    label,
+                    float(shard.scores[label][row]),
+                    int(shard.global_indices[row]),
+                )
+            return list(searched)
+
+        by_label = {label: keys_searched(label) for label in ("PR", "CC")}
+        for label, arrays in by_label.items():
+            assert len(arrays) >= 3, label
+            assert all(keys is arrays[0] for keys in arrays), label
+            assert not arrays[0].flags.writeable
+        assert by_label["PR"][0] is not by_label["CC"][0]
 
 
 class TestYearPruning:
