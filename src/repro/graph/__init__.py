@@ -4,6 +4,8 @@ Public entry points:
 
 * :class:`CitationNetwork` — the immutable network (papers, times, edges,
   optional authors/venues).
+* :class:`IdTable` — the append-only id table the versions of a growing
+  network (and the serving layer's shards) share.
 * :class:`NetworkBuilder` — incremental construction with id resolution.
 * :class:`StochasticOperator` — the paper's column-stochastic matrix ``S``
   with exact dangling handling.
@@ -20,6 +22,7 @@ from repro.graph.cache import (
     memoize_on,
 )
 from repro.graph.citation_network import CitationNetwork
+from repro.graph.ids import IdTable
 from repro.graph.matrix import (
     StochasticOperator,
     column_stochastic,
@@ -28,6 +31,7 @@ from repro.graph.matrix import (
 )
 from repro.graph.statistics import (
     NetworkSummary,
+    citation_age_counts,
     citation_age_distribution,
     citations_per_year,
     summarize,
@@ -45,6 +49,7 @@ from repro.graph.temporal import (
 
 __all__ = [
     "CitationNetwork",
+    "IdTable",
     "NetworkBuilder",
     "StochasticOperator",
     "column_stochastic",
@@ -55,6 +60,7 @@ __all__ = [
     "derived_store",
     "memoize_on",
     "NetworkSummary",
+    "citation_age_counts",
     "citation_age_distribution",
     "citations_per_year",
     "summarize",

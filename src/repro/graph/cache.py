@@ -37,7 +37,13 @@ from weakref import WeakKeyDictionary
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["derived_store", "memoize_on", "cached_keys", "clear_derived"]
+__all__ = [
+    "derived_store",
+    "memoize_on",
+    "cached_value",
+    "cached_keys",
+    "clear_derived",
+]
 
 T = TypeVar("T")
 
@@ -91,6 +97,16 @@ def memoize_on(
                 backing.setflags(write=False)
     store[key] = value
     return value
+
+
+def cached_value(network: Any, key: Hashable) -> Any | None:
+    """The value cached for ``key`` on ``network``, or ``None``.
+
+    Never builds anything (not even the store): incremental builders
+    use it to ask whether a parent network already paid for a
+    structure they can update instead of rebuilding.
+    """
+    return _STORES.get(network, {}).get(key)
 
 
 def cached_keys(network: Any) -> tuple[Hashable, ...]:

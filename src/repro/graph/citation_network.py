@@ -10,6 +10,13 @@ in insertion order; the external (string) identifiers are kept in
 :attr:`CitationNetwork.paper_ids` and can be translated both ways with
 :meth:`CitationNetwork.index_of` and :meth:`CitationNetwork.id_of`.
 
+Versions grown by :meth:`CitationNetwork.extend` share one append-only
+:class:`~repro.graph.ids.IdTable`, so an extension's per-paper work
+touches only the new papers.  Structure derived from the citations (the
+stochastic operator, :attr:`CitationNetwork.in_degree`, the citation-age
+counts) is updated from a live parent's cached values where it can be;
+see :attr:`CitationNetwork.parent`.
+
 The citation matrix follows the paper's convention (Section 2):
 
     ``C[i, j] = 1``  iff paper ``j`` cites paper ``i``
@@ -19,6 +26,7 @@ so that rows index the *cited* paper and columns the *citing* paper.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +35,7 @@ import scipy.sparse as sp
 
 from repro._typing import FloatVector, IntVector
 from repro.errors import GraphError
+from repro.graph.ids import IdTable
 
 __all__ = ["CitationNetwork"]
 
@@ -84,7 +93,9 @@ class CitationNetwork:
         paper_venues: Iterable[int] | None = None,
         validate: bool = True,
     ) -> None:
-        self._paper_ids = tuple(str(p) for p in paper_ids)
+        self._ids = IdTable(str(p) for p in paper_ids)
+        self._n = len(self._ids)
+        self._parent: weakref.ref[CitationNetwork] | None = None
         self._pub_time = np.asarray(list(publication_times), dtype=np.float64)
         self._citing = _as_index_array(citing, name="citing")
         self._cited = _as_index_array(cited, name="cited")
@@ -107,9 +118,6 @@ class CitationNetwork:
         else:
             self._paper_venues = None
 
-        self._index: dict[str, int] = {
-            pid: i for i, pid in enumerate(self._paper_ids)
-        }
         if validate:
             self.validate()
 
@@ -119,17 +127,25 @@ class CitationNetwork:
     @property
     def n_papers(self) -> int:
         """Number of papers (nodes) in the network."""
-        return len(self._paper_ids)
+        return self._n
 
     @property
     def n_citations(self) -> int:
         """Number of citation edges in the network."""
         return int(self._citing.size)
 
-    @property
+    @cached_property
     def paper_ids(self) -> tuple[str, ...]:
         """External identifiers of all papers, in index order."""
-        return self._paper_ids
+        return tuple(self._ids.ids(0, self._n))
+
+    def paper_ids_from(self, start: int) -> list[str]:
+        """External ids of the papers at indices ``start .. n_papers-1``.
+
+        O(n_papers - start): the serving layer reads the ids a delta
+        appended this way, without materialising :attr:`paper_ids`.
+        """
+        return self._ids.ids(start, self._n)
 
     @property
     def publication_times(self) -> FloatVector:
@@ -184,20 +200,54 @@ class CitationNetwork:
 
     def index_of(self, paper_id: str) -> int:
         """Return the dense index of the paper with external id ``paper_id``."""
-        try:
-            return self._index[paper_id]
-        except KeyError:
-            raise GraphError(f"unknown paper id: {paper_id!r}") from None
+        found = self._ids.position(paper_id, self._n)
+        if found is None:
+            raise GraphError(f"unknown paper id: {paper_id!r}")
+        return found
 
     def id_of(self, index: int) -> str:
         """Return the external id of the paper at dense index ``index``."""
-        return self._paper_ids[index]
+        return self._ids.id_at(index, self._n)
 
     def __contains__(self, paper_id: object) -> bool:
-        return paper_id in self._index
+        return self._ids.position(paper_id, self._n) is not None
+
+    @property
+    def parent(self) -> "CitationNetwork | None":
+        """The network this one was :meth:`extend`-ed from, while it lives.
+
+        Set only when every appended citation comes from an appended
+        paper, so every parent paper keeps its reference list: structure
+        derived from the citations can then be updated from the
+        parent's cached values.  Held by weak reference — a version
+        never keeps its parent alive.
+        """
+        return None if self._parent is None else self._parent()
+
+    def is_extension_of(self, other: "CitationNetwork") -> bool:
+        """Whether this network starts with ``other``'s papers, in order.
+
+        O(1) when both are versions on one id table (``other``, or a
+        version it was grown from, was extended into this network);
+        otherwise the id prefixes are compared.
+        """
+        length = other.n_papers
+        if length > self._n:
+            return False
+        if self._ids is other._ids:
+            return True
+        return self._ids.ids(0, length) == other._ids.ids(0, length)
 
     def __len__(self) -> int:
         return self.n_papers
+
+    def __getstate__(self) -> dict:
+        # A pickle carries this version's own ids, not the shared
+        # table's later appends, and no (unpicklable) parent reference.
+        state = self.__dict__.copy()
+        state["_ids"] = IdTable(self._ids.ids(0, self._n))
+        state["_parent"] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         span = ""
@@ -232,6 +282,19 @@ class CitationNetwork:
     @cached_property
     def in_degree(self) -> IntVector:
         """Citation count of each paper (number of distinct citing papers)."""
+        parent = self.parent
+        base = None if parent is None else parent.__dict__.get("in_degree")
+        if base is not None:
+            # Appended citations all come from appended papers, so none
+            # repeats a parent citation: count each distinct new pair.
+            start = parent.n_citations
+            pairs = np.unique(
+                self._citing[start:] * self._n + self._cited[start:]
+            )
+            counts = np.zeros(self._n, dtype=np.int64)
+            counts[: base.size] = base
+            np.add.at(counts, pairs % self._n, 1)
+            return counts
         counts = np.asarray(self.citation_matrix.sum(axis=1)).ravel()
         return counts.astype(np.int64)
 
@@ -332,7 +395,7 @@ class CitationNetwork:
                 f"publication_times has length {self._pub_time.size}, "
                 f"expected {n}"
             )
-        if len(self._index) != n:
+        if not self._ids.unique():
             raise GraphError("paper ids are not unique")
         if not np.all(np.isfinite(self._pub_time)):
             raise GraphError("publication times must be finite")
@@ -368,7 +431,7 @@ class CitationNetwork:
         import networkx as nx
 
         graph = nx.DiGraph()
-        for i, pid in enumerate(self._paper_ids):
+        for i, pid in enumerate(self.paper_ids):
             graph.add_node(i, paper_id=pid, time=float(self._pub_time[i]))
         graph.add_edges_from(zip(self._citing.tolist(), self._cited.tolist()))
         return graph
@@ -401,8 +464,9 @@ class CitationNetwork:
         if self._paper_venues is not None:
             venues = self._paper_venues[keep]
 
+        ids = self._ids.ids(0, self._n)
         return CitationNetwork(
-            paper_ids=[self._paper_ids[i] for i in keep],
+            paper_ids=[ids[i] for i in keep.tolist()],
             publication_times=self._pub_time[keep],
             citing=remap[self._citing[edge_ok]],
             cited=remap[self._cited[edge_ok]],
@@ -450,62 +514,80 @@ class CitationNetwork:
         New papers inherit empty author lists and unknown venues when the
         base network carries that metadata — bibliographic deltas in the
         serving path are citation events, not metadata updates.
+
+        The result shares this network's id table (see
+        :mod:`repro.graph.ids`), and ``validate`` checks only the
+        appended part.  The numeric columns are concatenated and author
+        / venue metadata is copied, both O(n_papers).
         """
+        n = self._n
         new_ids = [str(p) for p in paper_ids]
-        new_times = [float(t) for t in publication_times]
-        if len(new_ids) != len(new_times):
+        new_times = np.asarray(
+            [float(t) for t in publication_times], dtype=np.float64
+        )
+        if len(new_ids) != new_times.size:
             raise GraphError(
-                f"{len(new_ids)} new papers but {len(new_times)} "
+                f"{len(new_ids)} new papers but {new_times.size} "
                 "publication times"
             )
-        combined_index = dict(self._index)
+        fresh: dict[str, int] = {}
         for pid in new_ids:
-            if pid in combined_index:
+            if pid in fresh or self._ids.position(pid, n) is not None:
                 raise GraphError(f"duplicate paper id: {pid!r}")
-            combined_index[pid] = len(combined_index)
+            fresh[pid] = n + len(fresh)
+
+        def resolve(paper_id: str, role: str) -> int:
+            key = str(paper_id)
+            found = fresh.get(key)
+            if found is None:
+                found = self._ids.position(key, n)
+                if found is None:
+                    raise GraphError(f"unknown {role} paper: {paper_id!r}")
+            return found
 
         extra_citing: list[int] = []
         extra_cited: list[int] = []
         for citing_id, cited_id in citations:
-            try:
-                source = combined_index[str(citing_id)]
-            except KeyError:
-                raise GraphError(
-                    f"unknown citing paper: {citing_id!r}"
-                ) from None
-            try:
-                target = combined_index[str(cited_id)]
-            except KeyError:
-                raise GraphError(
-                    f"unknown cited paper: {cited_id!r}"
-                ) from None
-            extra_citing.append(source)
-            extra_cited.append(target)
+            extra_citing.append(resolve(citing_id, "citing"))
+            extra_cited.append(resolve(cited_id, "cited"))
+        new_citing = np.asarray(extra_citing, dtype=np.int64)
+        new_cited = np.asarray(extra_cited, dtype=np.int64)
+        if validate:
+            # The parent's part was validated when it was built; edge
+            # bounds and id uniqueness hold by construction.
+            if not np.all(np.isfinite(new_times)):
+                raise GraphError("publication times must be finite")
+            if np.any(new_citing == new_cited):
+                raise GraphError("self-citations are not allowed")
 
-        authors = None
+        extended = CitationNetwork.__new__(CitationNetwork)
+        extended._pub_time = np.concatenate([self._pub_time, new_times])
+        extended._citing = np.concatenate([self._citing, new_citing])
+        extended._cited = np.concatenate([self._cited, new_cited])
+        for array in (extended._pub_time, extended._citing, extended._cited):
+            array.setflags(write=False)
+        extended._paper_authors = None
         if self._paper_authors is not None:
-            authors = list(self._paper_authors) + [()] * len(new_ids)
-        venues = None
+            extended._paper_authors = (
+                self._paper_authors + ((),) * len(new_ids)
+            )
+        extended._paper_venues = None
         if self._paper_venues is not None:
             venues = np.concatenate(
                 [self._paper_venues, np.full(len(new_ids), -1, dtype=np.int64)]
             )
-
-        return CitationNetwork(
-            paper_ids=list(self._paper_ids) + new_ids,
-            publication_times=np.concatenate(
-                [self._pub_time, np.asarray(new_times, dtype=np.float64)]
-            ),
-            citing=np.concatenate(
-                [self._citing, np.asarray(extra_citing, dtype=np.int64)]
-            ),
-            cited=np.concatenate(
-                [self._cited, np.asarray(extra_cited, dtype=np.int64)]
-            ),
-            paper_authors=authors,
-            paper_venues=venues,
-            validate=validate,
+            venues.setflags(write=False)
+            extended._paper_venues = venues
+        extended._parent = (
+            weakref.ref(self)
+            if new_citing.size == 0 or int(new_citing.min()) >= n
+            else None
         )
+        # Last, once nothing can fail: a failed extend leaves the table
+        # untouched.
+        extended._ids = self._ids.grown(n, new_ids)
+        extended._n = n + len(new_ids)
+        return extended
 
     @classmethod
     def from_edges(

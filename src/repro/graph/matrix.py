@@ -12,6 +12,12 @@ Materialising the dangling columns would make ``S`` dense, so this module
 represents ``S`` as a sparse part plus a dangling rank-one correction and
 exposes :class:`StochasticOperator` whose :meth:`StochasticOperator.apply`
 computes the exact product ``S @ v`` in O(nnz) time.
+
+:func:`shared_operator` builds ``S`` once per network.  For a network
+:meth:`~repro.graph.CitationNetwork.extend`-ed from a live parent whose
+operator is cached, it inserts the new papers' columns into the parent's
+operator instead (vectorised copies, no sort); the result equals a
+fresh build array for array.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import scipy.sparse as sp
 
 from repro._typing import FloatVector
 from repro.errors import GraphError
-from repro.graph.cache import memoize_on
+from repro.graph.cache import cached_value, memoize_on
 from repro.graph.citation_network import CitationNetwork
 
 __all__ = [
@@ -32,6 +38,8 @@ __all__ = [
     "is_column_stochastic",
     "shared_operator",
 ]
+
+_OPERATOR_KEY = ("stochastic_operator",)
 
 
 def column_stochastic(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -121,6 +129,69 @@ class StochasticOperator:
         # CSR is efficient for matvec; keep a CSC view for column slicing.
         self._sparse = sp.csr_matrix(self._sparse)
 
+    def _extended(
+        self, network: CitationNetwork, parent: CitationNetwork
+    ) -> "StochasticOperator":
+        """This operator (of ``parent``) grown to its extension ``network``.
+
+        Every appended citation comes from an appended paper (see
+        :attr:`CitationNetwork.parent`), so no existing column changes.
+        The sparse part lists each row's columns in *descending* order —
+        the order scipy's product with the diagonal column scaling
+        emits — and the new columns are the highest, so each row's new
+        entries go in front of its old ones.  New values come from the
+        same float operations as a fresh build: the result equals
+        ``StochasticOperator(network)`` array for array.
+        """
+        n = network.n_papers
+        n_old = parent.n_papers
+        citing = network.citing[parent.n_citations:]
+        cited = network.cited[parent.n_citations:]
+        # Reference count per new column, duplicate edges included: the
+        # fresh build sums duplicates before normalising columns.
+        references = np.bincount(
+            citing - n_old, minlength=n - n_old
+        ).astype(np.float64)
+        scale = np.ones_like(references)
+        cites = references > 0
+        scale[cites] = 1.0 / references[cites]
+        # Distinct (row, column) entries by row, then column descending.
+        codes, counts = np.unique(
+            cited * n + (n - 1 - citing), return_counts=True
+        )
+        rows = codes // n
+        columns = n - 1 - codes % n
+        values = counts.astype(np.float64) * scale[columns - n_old]
+
+        old = self._sparse
+        per_row = np.bincount(rows, minlength=n)
+        nnz = old.nnz + rows.size
+        index_dtype = (
+            np.int64
+            if max(nnz, n) > np.iinfo(np.int32).max
+            else old.indices.dtype
+        )
+        indptr = np.empty(n + 1, dtype=index_dtype)
+        indptr[: n_old + 1] = old.indptr
+        indptr[n_old + 1:] = old.indptr[-1]
+        indptr[1:] += np.cumsum(per_row, dtype=index_dtype)
+        # A new entry's slot: its row's start plus its rank in the row.
+        first_of_row = np.cumsum(per_row) - per_row
+        slots = indptr[rows] + np.arange(rows.size) - first_of_row[rows]
+        inserted = np.zeros(nnz, dtype=bool)
+        inserted[slots] = True
+        indices = np.empty(nnz, dtype=index_dtype)
+        indices[slots] = columns
+        indices[~inserted] = old.indices
+        data = np.empty(nnz, dtype=np.float64)
+        data[slots] = values
+        data[~inserted] = old.data
+        grown = StochasticOperator.__new__(StochasticOperator)
+        grown._n = n
+        grown._sparse = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        grown._dangling = np.concatenate([self._dangling, references == 0.0])
+        return grown
+
     @property
     def n(self) -> int:
         """Dimension of the operator (number of papers)."""
@@ -176,7 +247,18 @@ def shared_operator(network: CitationNetwork) -> StochasticOperator:
     (per-edge retention weights) are not cached here; their weights
     depend on method hyper-parameters and are memoised at their own call
     sites.
+
+    A network extended from a live parent whose operator is cached (the
+    stream's versions) gets the parent's operator with the new columns
+    inserted, in O(nnz) vectorised copies instead of a CSR assembly and
+    normalisation; every other network is built from scratch.
     """
-    return memoize_on(
-        network, ("stochastic_operator",), lambda: StochasticOperator(network)
-    )
+
+    def build() -> StochasticOperator:
+        parent = network.parent
+        base = None if parent is None else cached_value(parent, _OPERATOR_KEY)
+        if base is not None:
+            return base._extended(network, parent)
+        return StochasticOperator(network)
+
+    return memoize_on(network, _OPERATOR_KEY, build)

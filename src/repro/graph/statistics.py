@@ -18,9 +18,11 @@ import numpy as np
 
 from repro._typing import FloatVector, IntVector
 from repro.errors import GraphError
+from repro.graph.cache import cached_value, memoize_on
 from repro.graph.citation_network import CitationNetwork
 
 __all__ = [
+    "citation_age_counts",
     "citation_age_distribution",
     "yearly_citations",
     "citations_per_year",
@@ -28,6 +30,42 @@ __all__ = [
     "NetworkSummary",
     "summarize",
 ]
+
+
+def citation_age_counts(
+    network: CitationNetwork,
+    *,
+    max_age: int = 10,
+) -> tuple[IntVector, int]:
+    """Citations per whole-year age ``0 .. max_age``, and all non-negative ones.
+
+    Returns ``(counts, total)``: ``counts[n]`` citations were made ``n``
+    whole years (``floor(t_citing - t_cited)``) after the cited paper's
+    publication, and ``total`` counts every citation of non-negative
+    age.  Memoised per network; an extension whose parent's counts are
+    cached (see :attr:`CitationNetwork.parent`) adds only the appended
+    citations' ages to them.
+    """
+    key = ("citation_age_counts", int(max_age))
+
+    def build() -> tuple[IntVector, int]:
+        parent = network.parent
+        base = None if parent is None else cached_value(parent, key)
+        start = 0 if base is None else parent.n_citations
+        times = network.publication_times
+        ages = np.floor(
+            times[network.citing[start:]] - times[network.cited[start:]]
+        ).astype(np.int64)
+        ages = ages[ages >= 0]
+        counts = np.bincount(ages[ages <= max_age], minlength=max_age + 1)
+        total = int(ages.size)
+        if base is not None:
+            counts += base[0]
+            total += base[1]
+        counts.setflags(write=False)
+        return counts, total
+
+    return memoize_on(network, key, build)
 
 
 def citation_age_distribution(
@@ -43,7 +81,8 @@ def citation_age_distribution(
     ``floor(t_citing - t_cited)`` and negative ages (data noise) are
     discarded.  The returned vector sums to the fraction of citations with
     age <= ``max_age`` (i.e. it is *not* renormalised — exactly the "% of
-    citations" y-axis of Figure 1a, divided by 100).
+    citations" y-axis of Figure 1a, divided by 100).  The counts come
+    from :func:`citation_age_counts`.
 
     Raises
     ------
@@ -52,15 +91,10 @@ def citation_age_distribution(
     """
     if network.n_citations == 0:
         raise GraphError("citation-age distribution of an edgeless network")
-    ages = network.citation_times() - network.publication_times[network.cited]
-    ages = np.floor(ages).astype(np.int64)
-    ages = ages[ages >= 0]
-    if ages.size == 0:
+    counts, total = citation_age_counts(network, max_age=max_age)
+    if total == 0:
         raise GraphError("all citations have negative age; check the data")
-    distribution = np.zeros(max_age + 1, dtype=np.float64)
-    clipped = ages[ages <= max_age]
-    np.add.at(distribution, clipped, 1.0)
-    return distribution / ages.size
+    return counts / total
 
 
 def yearly_citations(

@@ -8,12 +8,23 @@ sources).  :class:`DeltaUpdater` applies a delta to a
 
 1. extend the snapshot through the graph layer
    (:meth:`NetworkBuilder.extending`), preserving existing paper
-   indices;
+   indices.  The extension shares the snapshot's append-only id table
+   (:mod:`repro.graph.ids`), so its per-paper work touches only the
+   delta's papers, and its operator, in-degrees and citation-age counts
+   are updated from the snapshot's instead of rebuilt;
 2. re-solve every indexed method, **warm-starting** from the previous
    solution wherever the method supports it (paper Theorem 1 makes the
    fixed point start-independent, so warm starts change iteration
    counts, never results);
-3. bump the index version, which invalidates downstream result caches.
+3. bump the index version, which invalidates downstream result caches,
+   and route the new papers to their shards
+   (:meth:`~repro.serve.ShardedScoreIndex.sync`), again touching only
+   the delta's papers.
+
+Work that still grows with the corpus on every delta: the numeric
+columns are concatenated, the attention window and recency vector are
+recomputed, every shard's scores are re-sliced and re-sorted, and the
+warm solve runs over the whole graph.
 
 For small deltas the warm start lands close to the new fixed point and
 the re-solve converges in a fraction of the cold iteration count — the

@@ -231,8 +231,11 @@ class ScoreIndex:
             A replacement snapshot (the delta-update path passes the
             extended network).  It must contain at least the papers of
             the current snapshot, *in the same index positions* — the
-            contract :meth:`CitationNetwork.extend` guarantees.  ``None``
-            re-solves on the unchanged snapshot.
+            contract :meth:`CitationNetwork.extend` guarantees.  A
+            network grown from the indexed one shares its id table and
+            passes in O(1); any other has its id prefix compared, and a
+            mismatch raises :class:`~repro.errors.ConfigurationError`.
+            ``None`` re-solves on the unchanged snapshot.
         warm:
             Seed each method that supports it from its previous
             solution, grown to the new size.  ``False`` forces cold
@@ -255,11 +258,11 @@ class ScoreIndex:
         """
         target = self._network
         if network is not None:
-            if network.n_papers < self._network.n_papers:
+            if not network.is_extension_of(self._network):
                 raise ConfigurationError(
-                    "refresh network has fewer papers than the indexed "
-                    f"snapshot ({network.n_papers} < "
-                    f"{self._network.n_papers}); the index only grows"
+                    "refresh network is not an extension of the indexed "
+                    f"snapshot: it must start with its {self._network.n_papers}"
+                    " paper ids, in order (the index only grows)"
                 )
             target = network
         if fused:

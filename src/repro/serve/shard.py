@@ -19,7 +19,11 @@ and querying them sharded is what lets the serving layer scale:
 * :meth:`ShardedScoreIndex.sync` routes incremental growth to the
   affected shards: after a delta update, new papers are assigned by the
   store's partitioner and only the shards that gained papers are
-  reported as touched.
+  reported as touched.  Each shard keeps its ids in an append-only
+  :class:`~repro.graph.IdTable` shared with its earlier generations:
+  a sync appends only the new papers' ids, and an older generation
+  keeps finding its own papers and none of the newer ones.  Building a
+  store from scratch is the same append, from empty tables.
 
 Two partitioners are built in.  ``"hash"`` (default) spreads papers
 uniformly by a stable FNV-1a hash of the external id — deterministic
@@ -38,6 +42,7 @@ import json
 import os
 import zipfile
 import zlib
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +50,7 @@ import numpy as np
 from repro._typing import FloatVector, IntVector
 from repro.chaos.points import chaos_point
 from repro.errors import ConfigurationError, IndexIntegrityError
+from repro.graph.ids import IdTable
 from repro.io.serialize import network_payload
 from repro.serve.score_index import INDEX_FORMAT_VERSION, ScoreIndex
 
@@ -166,29 +172,39 @@ class Shard:
         Ascending global paper indices this shard owns.  The global
         index is the universal tie-breaker (rankings break score ties
         by ascending index), so every shard carries it.
-    paper_ids, times:
-        External ids and publication times, parallel to
-        ``global_indices``.
+    paper_ids:
+        External ids, parallel to ``global_indices``: a sequence, or an
+        :class:`~repro.graph.IdTable` shared with the shard's other
+        generations, of which this shard sees the first
+        ``len(global_indices)`` ids.
+    times:
+        Publication times, parallel to ``global_indices``.
     scores:
         Per-method score slices, parallel to ``global_indices``.
 
     A shard memoises its per-method orderings (and filtered variants)
-    and rank-search keys on first use; the store drops and rebuilds
-    shards on :meth:`ShardedScoreIndex.sync`, which is what keeps memos
-    honest across versions.
+    and rank-search keys on first use; :meth:`ShardedScoreIndex.sync`
+    builds a new shard per generation, which is what keeps memos honest
+    across versions.  Only the id table carries over: the new
+    generation appends the papers it gained, and this one keeps seeing
+    its own ids only.
     """
 
     def __init__(
         self,
         shard_id: int,
         global_indices: IntVector,
-        paper_ids: Sequence[str],
+        paper_ids: Sequence[str] | IdTable,
         times: FloatVector,
         scores: Mapping[str, FloatVector],
     ) -> None:
         self.shard_id = int(shard_id)
         self.global_indices = np.asarray(global_indices, dtype=np.int64)
-        self.paper_ids = tuple(str(p) for p in paper_ids)
+        self._ids = (
+            paper_ids
+            if isinstance(paper_ids, IdTable)
+            else IdTable([str(p) for p in paper_ids])
+        )
         self.times = np.asarray(times, dtype=np.float64)
         self.scores = {
             label: np.asarray(vector, dtype=np.float64)
@@ -205,7 +221,6 @@ class Shard:
         # label -> the negated scores in full order (ascending): the
         # binary-search keys of count_ranked_before.
         self._rank_keys: dict[str, FloatVector] = {}
-        self._id_index: dict[str, int] | None = None
 
     #: Maximum memoised *filtered* orders per shard (full per-method
     #: orders are always kept).
@@ -214,7 +229,16 @@ class Shard:
     @property
     def n_papers(self) -> int:
         """Papers owned by this shard."""
-        return len(self.paper_ids)
+        return int(self.global_indices.size)
+
+    @cached_property
+    def paper_ids(self) -> tuple[str, ...]:
+        """External ids, parallel to ``global_indices``.
+
+        Copied out of the id table on first use (a C-level slice): the
+        read path indexes this tuple once per result row.
+        """
+        return tuple(self._ids.ids(0, self.n_papers))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -324,12 +348,12 @@ class Shard:
         return lo + int(np.count_nonzero(ties < global_index))
 
     def location_of(self, paper_id: str) -> int | None:
-        """Local position of ``paper_id``, or ``None`` if not owned."""
-        if self._id_index is None:
-            self._id_index = {
-                pid: i for i, pid in enumerate(self.paper_ids)
-            }
-        return self._id_index.get(str(paper_id))
+        """Local position of ``paper_id``, or ``None`` if not owned.
+
+        The id table's dict is built on the first lookup and then kept
+        up to date by every later generation's appends.
+        """
+        return self._ids.position(str(paper_id), self.n_papers)
 
 
 class StoreSnapshot:
@@ -552,7 +576,14 @@ class ShardedScoreIndex:
             boundaries=boundaries,
             backing=index,
             assignment=assignment,
-            shards=_slice_shards(index, index.labels, assignment, n_shards),
+            shards=_grown_shards(
+                index,
+                index.labels,
+                assignment,
+                n_shards,
+                {},
+                network.paper_ids_from(0),
+            ),
         )
         return store
 
@@ -632,12 +663,15 @@ class ShardedScoreIndex:
         """Follow the backing index; return the shards that gained papers.
 
         Routes each *new* paper (anything beyond the assignment's
-        length — extension preserves existing indices) to its shard via
-        the stored partitioner, then re-slices every shard's score
-        columns (a refresh changes scores globally even when no paper
-        moved).  Year-partitioned stores route new papers against the
-        boundaries fixed at build time, so routing never disagrees
-        between the building and the updating process.
+        length — :meth:`ScoreIndex.refresh` only accepts extensions of
+        the indexed network) to its shard via the stored partitioner,
+        and appends it to that shard's id table: per-paper work touches
+        the new papers only.  Every shard's numeric columns are then
+        re-sliced (a refresh changes scores globally even when no paper
+        moved), which is O(papers) array work, and the new shards
+        re-sort on first read.  Year-partitioned stores route new papers
+        against the boundaries fixed at build time, so routing never
+        disagrees between the building and the updating process.
 
         The new generation is assembled completely off to the side and
         published as one :class:`StoreSnapshot` swap — concurrent
@@ -660,12 +694,11 @@ class ShardedScoreIndex:
         known = int(self._assignment.size)
         assignment = self._assignment
         touched: tuple[int, ...] = ()
-        if network.n_papers > known:
-            new_ids = network.paper_ids[known:]
-            new_times = network.publication_times[known:]
+        new_ids = network.paper_ids_from(known)
+        if new_ids:
             new_assignment = _assign(
                 new_ids,
-                new_times,
+                network.publication_times[known:],
                 current.n_shards,
                 current.partitioner,
                 current._boundaries,
@@ -675,8 +708,13 @@ class ShardedScoreIndex:
                 int(s) for s in np.unique(new_assignment)
             )
         labels = self._backing.labels
-        shards = _slice_shards(
-            self._backing, labels, assignment, current.n_shards
+        shards = _grown_shards(
+            self._backing,
+            labels,
+            assignment,
+            current.n_shards,
+            current._shards,
+            new_ids,
         )
         chaos_point("shard.sync.swap")
         self._assignment = assignment
@@ -846,29 +884,44 @@ class ShardedScoreIndex:
         )
 
 
-def _slice_shards(
+def _grown_shards(
     index: ScoreIndex,
     labels: tuple[str, ...],
     assignment: IntVector,
     n_shards: int,
+    previous: Mapping[int, Shard],
+    new_ids: Sequence[str],
 ) -> dict[int, Shard]:
-    """Slice fresh shard column stores out of a backing index."""
-    network = index.network
-    ids = network.paper_ids
-    times = network.publication_times
+    """The next shard generation: ``previous`` plus the papers of ``new_ids``.
+
+    ``new_ids`` are the ids of the last ``len(new_ids)`` papers of
+    ``assignment``.  Each shard appends the ids it gained to its
+    predecessor's id table; building from scratch is the same append,
+    from an empty ``previous``.  Times and score columns are sliced
+    from the backing index in full.
+    """
+    times = index.network.publication_times
+    known = assignment.size - len(new_ids)
     vectors = {label: index.scores(label) for label in labels}
     shards: dict[int, Shard] = {}
     for shard_id in range(n_shards):
-        owned = np.nonzero(assignment == shard_id)[0].astype(np.int64)
+        gained = np.flatnonzero(assignment[known:] == shard_id)
+        before = previous.get(shard_id)
+        if before is None:
+            table, length, owned = IdTable(), 0, gained + known
+        else:
+            table, length = before._ids, before.n_papers
+            owned = np.concatenate([before.global_indices, gained + known])
+        if gained.size:
+            table = table.grown(
+                length, [new_ids[i] for i in gained.tolist()]
+            )
         shards[shard_id] = Shard(
             shard_id=shard_id,
             global_indices=owned,
-            paper_ids=[ids[i] for i in owned],
+            paper_ids=table,
             times=times[owned],
-            scores={
-                label: vector[owned]
-                for label, vector in vectors.items()
-            },
+            scores={label: vector[owned] for label, vector in vectors.items()},
         )
     return shards
 

@@ -21,6 +21,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -394,6 +395,81 @@ class TestChaosCli:
     def test_run_unknown_point_fails_typed(self, capsys):
         assert main(["chaos", "run", "--point", "nope"]) == 1
         assert "[ChaosError]" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Crashes between an id-table append and the publishing swap
+# ----------------------------------------------------------------------
+def _deltas(events, batch_size):
+    """Cut events into deltas at paper boundaries, as the ingestor does."""
+    from repro.serve import NetworkDelta
+    from repro.stream import PaperEvent
+
+    papers: list = []
+    citations: list = []
+    for event in events:
+        if isinstance(event, PaperEvent):
+            if len(papers) + len(citations) >= batch_size:
+                yield NetworkDelta(tuple(papers), tuple(citations))
+                papers, citations = [], []
+            papers.append((event.paper_id, event.time))
+        else:
+            citations.append((event.citing, event.cited))
+    if papers:
+        yield NetworkDelta(tuple(papers), tuple(citations))
+
+
+class TestCrashBetweenAppendAndPublish:
+    """A step killed after it appended to the shared id tables.
+
+    ``CitationNetwork.extend`` and ``ShardedScoreIndex.sync`` append new
+    ids in place before their results are published.  A crash at the
+    swap leaves those appends behind with nothing pointing at them, so
+    the retried work must grow the published version again — by copying
+    its prefix — and never see the orphaned ids or append them twice.
+    """
+
+    @pytest.mark.parametrize(
+        "point", ["index.refresh.swap", "shard.sync.swap"]
+    )
+    def test_replay_recovers_bit_identically(self, point, hepth_tiny):
+        from repro.stream import batch_compute
+        from shardoracle import assert_fresh_slices
+
+        methods = ("AR", "PR", "CC")
+        log = EventLog.from_network(hepth_tiny)
+        ingestor = StreamIngestor(
+            log, methods, batch_size=64, bootstrap_size=len(log) - 600,
+            shards=3,
+        )
+        ingestor.step()
+        service = ingestor.service
+        plan = FaultPlan.single(point, kind="crash", invocation=3)
+        crashes = 0
+        with FaultInjector(plan) as injector:
+            for delta in _deltas(log.events[ingestor.offset:], 64):
+                try:
+                    service.update(delta)
+                except InjectedCrash:
+                    crashes += 1
+                    if point == "index.refresh.swap":
+                        # Nothing was published: apply the batch again.
+                        service.update(delta)
+                    else:
+                        # The index moved on; the next read retries
+                        # the sync against the stale store.
+                        service.top_k("CC", k=3)
+                    assert_fresh_slices(service.sharded, service.index)
+        assert crashes == 1 and len(injector.fired) == 1
+        service.index.refresh(warm=False)
+        service.top_k("CC", k=3)
+        reference = batch_compute(log, methods)
+        assert service.index.network.paper_ids == reference.network.paper_ids
+        for label in methods:
+            assert np.array_equal(
+                service.index.scores(label), reference.scores(label)
+            )
+        assert_fresh_slices(service.sharded, service.index)
 
 
 # ----------------------------------------------------------------------

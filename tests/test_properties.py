@@ -191,6 +191,59 @@ def test_attrank_start_independence(network):
     assert np.allclose(reference, result, atol=1e-8)
 
 
+@st.composite
+def tied_dags(draw, max_papers: int = 25):
+    """A random citation DAG with same-year ties and dangling papers.
+
+    Publication years come from a narrow integer range, so ties are the
+    rule; each paper cites a random subset of earlier papers published
+    no later than itself, so papers without references (dangling
+    columns of ``S``) are common too.
+    """
+    n = draw(st.integers(2, max_papers))
+    years = sorted(draw(st.lists(st.integers(2000, 2004), min_size=n, max_size=n)))
+    citing: list[int] = []
+    cited: list[int] = []
+    for source in range(1, n):
+        for target in draw(st.sets(st.integers(0, source - 1), max_size=3)):
+            citing.append(source)
+            cited.append(target)
+    return CitationNetwork(
+        [f"p{i}" for i in range(n)], [float(y) for y in years], citing, cited
+    )
+
+
+@given(tied_dags(), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_theorem1_fixed_point_is_start_independent(network, seed):
+    """Theorem 1: every start vector reaches the same fixed point.
+
+    Warm-started re-solves after each stream version rely on this.  The
+    L1 map ``x -> alpha * S x + jump`` contracts by ``alpha``, so a solve
+    that stops once an iteration moves less than ``tol`` lies within
+    ``alpha / (1 - alpha) * tol`` of the fixed point, and two such solves
+    within twice that.
+    """
+    from repro.baselines.pagerank import PageRank
+
+    rng = np.random.default_rng(seed)
+    for make in (
+        lambda: AttRank(
+            alpha=0.4, beta=0.3, gamma=0.3, attention_window=2.0,
+            decay_rate=-0.5, max_iterations=3000,
+        ),
+        lambda: PageRank(alpha=0.5, max_iterations=3000),
+    ):
+        method = make()
+        reference = method.scores(network)
+        bound = 2 * method.alpha / (1 - method.alpha) * method.tol + 1e-15
+        for _ in range(3):
+            method = make()
+            method.start_vector = rng.dirichlet(np.ones(network.n_papers))
+            result = method.scores(network)
+            assert np.abs(result - reference).sum() <= bound
+
+
 # ---------------------------------------------------------------------------
 # Metric invariants
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, IndexIntegrityError
@@ -18,6 +18,13 @@ from repro.serve.shard import (
     hash_shard_of,
     year_boundaries,
 )
+from repro.stream import EventLog, StreamIngestor
+from shardoracle import assert_fresh_slices
+
+
+@pytest.fixture(scope="module")
+def hepth_log(hepth_tiny) -> EventLog:
+    return EventLog.from_network(hepth_tiny)
 
 
 @pytest.fixture
@@ -377,6 +384,57 @@ class TestRankCountOracle:
         assert by_label["PR"][0] is not by_label["CC"][0]
 
 
+class TestSyncOracle:
+    """Shard generations against from-scratch slices, version by version.
+
+    Shards grow by appending new papers to id tables shared with their
+    earlier generations.  After every sync each shard must equal a
+    fresh slice of the backing index, and a generation captured before
+    the sync must still find its own papers and none of the new ones.
+    """
+
+    @given(
+        n_shards=st.integers(1, 4),
+        partitioner=st.sampled_from(("hash", "year")),
+        batch_size=st.integers(20, 250),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_sync_equals_a_fresh_slice(
+        self, hepth_log, n_shards, partitioner, batch_size
+    ):
+        ingestor = StreamIngestor(
+            hepth_log,
+            ("PR", "CC"),
+            batch_size=batch_size,
+            bootstrap_size=len(hepth_log) - 600,
+            shards=n_shards,
+            partitioner=partitioner,
+        )
+        ingestor.step()
+        service = ingestor.service
+        boundaries = year_boundaries(
+            service.index.network.publication_times, n_shards
+        )
+        assert_fresh_slices(service.sharded, service.index, boundaries)
+        while not ingestor.exhausted:
+            before = service.sharded.snapshot()
+            owned = {
+                shard.shard_id: shard.paper_ids
+                for shard in before.loaded_shards()
+            }
+            known = service.index.network.n_papers
+            ingestor.step()
+            assert_fresh_slices(service.sharded, service.index, boundaries)
+            new_ids = service.index.network.paper_ids_from(known)
+            assert new_ids
+            for shard in before.loaded_shards():
+                assert shard.paper_ids == owned[shard.shard_id]
+                for local, pid in enumerate(owned[shard.shard_id]):
+                    assert shard.location_of(pid) == local
+                for pid in new_ids:
+                    assert shard.location_of(pid) is None
+
+
 class TestYearPruning:
     def test_time_bounds_only_for_year_partitioner(self, indexed):
         hash_store = ShardedScoreIndex.from_index(indexed, n_shards=3)
@@ -471,7 +529,32 @@ class TestReadDuringSync:
             except BaseException as error:  # noqa: BLE001
                 failures.append(error)
 
+        # The generation captured before the delta keeps answering for
+        # its own papers, and for none of the delta's, while later
+        # generations append to the id tables it shares.
+        old_generation = store.snapshot()
+        owned = {
+            shard.shard_id: shard.paper_ids
+            for shard in old_generation.loaded_shards()
+        }
+        delta_ids = [pid for pid, _ in delta.papers]
+        lookups = []
+
+        def lookup_reader():
+            try:
+                while not done.is_set():
+                    for shard in old_generation.loaded_shards():
+                        mine = owned[shard.shard_id]
+                        for local in range(0, len(mine), 7):
+                            assert shard.location_of(mine[local]) == local
+                        for pid in delta_ids:
+                            assert shard.location_of(pid) is None
+                    lookups.append(1)
+            except BaseException as error:  # noqa: BLE001
+                failures.append(error)
+
         threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=lookup_reader))
         for thread in threads:
             thread.start()
         try:
@@ -489,7 +572,12 @@ class TestReadDuringSync:
                 thread.join(timeout=30)
 
         assert not failures, failures
-        assert observed
+        assert observed and lookups
+        newest = store.snapshot().loaded_shards()
+        for pid in delta_ids:
+            assert sum(
+                shard.location_of(pid) is not None for shard in newest
+            ) == 1
         versions = {version for version, _ in observed}
         assert versions <= {0, 1}
         for version, results in observed:
