@@ -9,7 +9,8 @@ from scratch:
 
 * :class:`EventLog` — the corpus as a time-ordered JSONL log of
   :class:`PaperEvent` / :class:`CitationEvent` records, extractable
-  from any time-ordered :class:`~repro.graph.CitationNetwork`;
+  from any time-ordered :class:`~repro.graph.CitationNetwork` and held
+  in memory as columns (times, kinds, codes into one id table);
 * :class:`StreamIngestor` — replays a log in micro-batches
   (batch-size / time-watermark policies, cut at paper-group
   boundaries), driving :class:`~repro.serve.DeltaUpdater` warm-start

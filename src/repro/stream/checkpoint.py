@@ -35,6 +35,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import reprlib
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -165,18 +166,33 @@ class Checkpoint:
                 f"{directory}: not a stream checkpoint "
                 f"(missing {CHECKPOINT_FILE})"
             )
+        with open(path, "rb") as handle:
+            data = handle.read()
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except json.JSONDecodeError as error:
+            payload = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as error:
             raise DataFormatError(
-                f"{path}: invalid JSON ({error})"
+                f"{path}: not UTF-8 text ({error.reason})"
             ) from None
-        if payload.get("format") != "repro-stream-checkpoint":
+        except ValueError as error:
+            raise DataFormatError(f"{path}: invalid JSON ({error})") from None
+        except RecursionError:
+            raise DataFormatError(
+                f"{path}: invalid JSON (nested too deeply)"
+            ) from None
+        if (
+            not isinstance(payload, dict)
+            or payload.get("format") != "repro-stream-checkpoint"
+        ):
             raise DataFormatError(
                 f"{path}: not a stream checkpoint manifest"
             )
-        declared = int(payload.get("checkpoint_format_version", -1))
+        declared = payload.get("checkpoint_format_version", -1)
+        if type(declared) is not int:
+            raise DataFormatError(
+                f"{path}: malformed checkpoint_format_version "
+                f"{reprlib.repr(declared)}"
+            )
         if declared != CHECKPOINT_FORMAT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint format version "
@@ -185,24 +201,28 @@ class Checkpoint:
             )
         try:
             watermark = payload["watermark_years"]
+            if watermark is not None:
+                watermark = float(
+                    _typed(payload, "watermark_years", (int, float))
+                )
             return cls(
-                offset=int(payload["offset"]),
-                batches_applied=int(payload["batches_applied"]),
-                batch_size=int(payload["batch_size"]),
-                watermark_years=(
-                    None if watermark is None else float(watermark)
-                ),
-                shards=int(payload["shards"]),
-                partitioner=str(payload["partitioner"]),
+                offset=_typed(payload, "offset", (int,)),
+                batches_applied=_typed(payload, "batches_applied", (int,)),
+                batch_size=_typed(payload, "batch_size", (int,)),
+                watermark_years=watermark,
+                shards=_typed(payload, "shards", (int,)),
+                partitioner=_typed(payload, "partitioner", (str,)),
                 missing_references=_checked_policy(
                     path, payload["missing_references"]
                 ),
-                log_digest=str(payload["log_digest"]),
-                index_version=int(payload["index_version"]),
-                index_file=os.path.basename(str(payload["index_file"])),
-                created_utc=str(payload["created_utc"]),
+                log_digest=_typed(payload, "log_digest", (str,)),
+                index_version=_typed(payload, "index_version", (int,)),
+                index_file=os.path.basename(
+                    _typed(payload, "index_file", (str,))
+                ),
+                created_utc=_typed(payload, "created_utc", (str,)),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError) as error:
             raise DataFormatError(
                 f"{path}: malformed checkpoint manifest ({error!r})"
             ) from None
@@ -246,6 +266,15 @@ class Checkpoint:
                 "partially overwritten"
             )
         return index
+
+
+def _typed(payload: dict, key: str, kinds: tuple[type, ...]):
+    """``payload[key]``, raising ``TypeError`` unless its type is one of
+    ``kinds`` exactly: a boolean is not an integer, nor is a float."""
+    value = payload[key]
+    if type(value) not in kinds:
+        raise TypeError(f"{key} is a {type(value).__name__}")
+    return value
 
 
 def _checked_policy(source: str, value: object) -> MissingRefPolicy:

@@ -31,13 +31,16 @@ Determinism contract
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.chaos.points import chaos_point
-from repro.errors import ConfigurationError, StreamError
-from repro.graph.builder import MissingRefPolicy, NetworkBuilder
+from repro.errors import ConfigurationError, GraphError, StreamError
+from repro.graph.builder import MissingRefPolicy
 from repro.graph.citation_network import CitationNetwork
 from repro.obs.logging import get_logger
 from repro.obs.registry import REGISTRY
@@ -45,7 +48,7 @@ from repro.obs.trace import span
 from repro.serve.delta import NetworkDelta
 from repro.serve.score_index import MethodEntry, ScoreIndex
 from repro.serve.service import RankingService
-from repro.stream.events import CitationEvent, EventLog, PaperEvent
+from repro.stream.events import EventLog
 
 __all__ = [
     "StreamIngestor",
@@ -331,60 +334,82 @@ class StreamIngestor:
     def _next_cut(self) -> int:
         """The exclusive end of the next micro-batch.
 
-        Scans forward from the current offset; a cut is legal before
-        any paper event (group boundary) and taken at the first legal
-        position where the batch has reached ``batch_size`` events or
-        the time watermark.  Without a trigger, the batch runs to the
-        end of the log.
+        A cut is legal before any paper event (group boundary) and
+        taken at the first legal position where the batch has reached
+        ``batch_size`` events or the time watermark.  Without a
+        trigger, the batch runs to the end of the log.  Both triggers
+        only switch on as the position grows, so each is a binary
+        search over the paper positions.
         """
-        events = self._log.events
+        papers = self._log.paper_positions
         start = self._offset
-        start_time = events[start].time
         minimum = (
             self._bootstrap_size if self._index is None else self._batch_size
         )
-        for position in range(start + 1, len(events)):
-            event = events[position]
-            if not isinstance(event, PaperEvent):
-                continue
-            if position - start >= minimum:
-                return position
-            if (
-                self._watermark is not None
-                and event.time - start_time >= self._watermark
-            ):
-                return position
-        return len(events)
+        # ``closing`` indexes ``papers``: the paper event that closes
+        # the batch, or ``len(papers)`` when none does.
+        closing = int(np.searchsorted(papers, start + minimum))
+        if self._watermark is not None:
+            times = self._log.times
+            start_time = float(times[start])
+            first = int(np.searchsorted(papers, start, side="right"))
+            closing = first + bisect.bisect_left(
+                range(first, closing),
+                True,
+                key=lambda i: float(times[papers[i]]) - start_time
+                >= self._watermark,
+            )
+        if closing == len(papers):
+            return len(self._log)
+        return int(papers[closing])
+
+    def _published(self) -> int | None:
+        """The index version, or ``None`` before the bootstrap."""
+        return None if self._index is None else self._index.version
 
     def step(self) -> BatchReport:
-        """Apply the next micro-batch; raise :class:`StreamError` at EOF."""
+        """Apply the next micro-batch; raise :class:`StreamError` at EOF.
+
+        A step that fails after the index published its batch (killed
+        while the shards re-sync, say) still consumes the batch before
+        the error propagates, so the next step applies the next batch
+        instead of adding this one's papers twice.  The service
+        re-syncs stale shards on its next read.
+        """
         if self.exhausted:
             raise StreamError(
                 f"event log exhausted after {self._offset} events; "
                 "nothing left to replay"
             )
         started = time.perf_counter()
-        cut = self._next_cut()
-        events = self._log.events[self._offset:cut]
-        chaos_point("stream.step.apply")
-        with span(
-            "stream.step", batch=self._batches, events=len(events)
-        ) as sp:
-            if self._index is None:
-                report = self._bootstrap(events, cut, started)
-            else:
-                report = self._apply_delta(events, cut, started)
-            if sp is not None:
-                sp.set(version=report.version)
-        chaos_point("stream.step.advance")
+        start, cut = self._offset, self._next_cut()
+        published = self._published()
+        try:
+            chaos_point("stream.step.apply")
+            with span(
+                "stream.step", batch=self._batches, events=cut - start
+            ) as sp:
+                if self._index is None:
+                    report = self._bootstrap(cut, started)
+                else:
+                    report = self._apply_delta(cut, started)
+                if sp is not None:
+                    sp.set(version=report.version)
+            chaos_point("stream.step.advance")
+        except BaseException:
+            if self._published() != published:
+                self._offset = cut
+                self._batches += 1
+            raise
         self._offset = cut
         self._batches += 1
         _BATCH_SECONDS.observe(report.elapsed_seconds)
-        papers = sum(
-            1 for event in events if isinstance(event, PaperEvent)
+        positions = self._log.paper_positions
+        papers = int(
+            np.searchsorted(positions, cut) - np.searchsorted(positions, start)
         )
         _EVENTS_TOTAL.inc(papers, kind="paper")
-        _EVENTS_TOTAL.inc(len(events) - papers, kind="citation")
+        _EVENTS_TOTAL.inc(cut - start - papers, kind="citation")
         _EVENT_LAG.set(len(self._log) - cut)
         _LOG.debug(
             "stream batch",
@@ -408,25 +433,13 @@ class StreamIngestor:
         """
         return self._log.digest(self._offset)
 
-    def _bootstrap(
-        self,
-        events: Sequence[Any],
-        cut: int,
-        started: float,
-    ) -> BatchReport:
+    def _bootstrap(self, cut: int, started: float) -> BatchReport:
         """Build the initial snapshot, index and service (cold solves)."""
-        builder = NetworkBuilder(missing_references=self._policy)
-        for event in events:
-            if isinstance(event, PaperEvent):
-                builder.add_paper(event.paper_id, event.time)
-            else:
-                builder.add_reference(event.citing, event.cited)
-        network = builder.build()
+        network = _network(self._log, cut, self._policy)
         index = ScoreIndex(network)
         for label in self._methods:
             index.add_method(label, **self._method_params.get(label, {}))
-        self._index = index
-        self._service = RankingService(
+        service = RankingService(
             index,
             cache_size=self._cache_size,
             missing_references=self._policy,
@@ -434,6 +447,8 @@ class StreamIngestor:
             partitioner=self._partitioner,
             jobs=self._jobs,
         )
+        # Published together, once both exist.
+        self._index, self._service = index, service
         return BatchReport(
             batch=self._batches,
             offset_start=self._offset,
@@ -449,20 +464,23 @@ class StreamIngestor:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def _apply_delta(
-        self,
-        events: Sequence[Any],
-        cut: int,
-        started: float,
-    ) -> BatchReport:
-        """Convert one batch of events into a delta and apply it warm."""
+    def _apply_delta(self, cut: int, started: float) -> BatchReport:
+        """Turn the events up to ``cut`` into a delta and apply it warm."""
+        log = self._log
+        ids = log.ids
         papers: list[tuple[str, float]] = []
         citations: list[tuple[str, str]] = []
-        for event in events:
-            if isinstance(event, PaperEvent):
-                papers.append((event.paper_id, event.time))
-            elif isinstance(event, CitationEvent):
-                citations.append((event.citing, event.cited))
+        # A batch starts at a paper event, so ``citing`` is set first.
+        for event_time, paper, code in zip(
+            log.times[self._offset:cut].tolist(),
+            log.is_paper[self._offset:cut].tolist(),
+            log.codes[self._offset:cut].tolist(),
+        ):
+            if paper:
+                citing = ids[code]
+                papers.append((citing, event_time))
+            else:
+                citations.append((citing, ids[code]))
         delta = NetworkDelta(
             papers=tuple(papers), citations=tuple(citations)
         )
@@ -598,13 +616,52 @@ def network_from_log(
     """
     if len(log) == 0:
         raise StreamError("cannot build a network from an empty log")
-    builder = NetworkBuilder(missing_references=missing_references)
-    for event in log:
-        if isinstance(event, PaperEvent):
-            builder.add_paper(event.paper_id, event.time)
-        else:
-            builder.add_reference(event.citing, event.cited)
-    return builder.build()
+    return _network(log, len(log), missing_references)
+
+
+def _network(
+    log: EventLog, stop: int, policy: MissingRefPolicy
+) -> CitationNetwork:
+    """The snapshot of the first ``stop`` events, built from the columns.
+
+    It equals the network a :class:`~repro.graph.NetworkBuilder` builds
+    from the same events fed one at a time: papers take dense indices
+    in event order; a reference to an id with no paper event among
+    these events is skipped, or raises :class:`GraphError` at the first
+    one under ``"error"``; a repeated reference keeps its first
+    occurrence.
+    """
+    if policy not in ("skip", "error"):
+        raise GraphError(f"unknown missing-reference policy: {policy!r}")
+    ids = log.ids
+    is_paper = log.is_paper[:stop]
+    codes = log.codes[:stop]
+    papers = np.flatnonzero(is_paper)
+    paper_codes = codes[papers]
+    index_of = np.full(len(ids), -1, dtype=np.int64)
+    index_of[paper_codes] = np.arange(papers.size)
+    cites = np.flatnonzero(~is_paper)
+    citing = np.searchsorted(papers, cites) - 1
+    cited = index_of[codes[cites]]
+    unknown = cited < 0
+    if unknown.any():
+        if policy == "error":
+            first = int(np.argmax(unknown))
+            raise GraphError(
+                f"paper {ids[paper_codes[citing[first]]]!r} references "
+                f"unknown paper {ids[codes[cites[first]]]!r}"
+            )
+        citing, cited = citing[~unknown], cited[~unknown]
+    _, firsts = np.unique(citing * papers.size + cited, return_index=True)
+    if firsts.size < citing.size:
+        firsts.sort()
+        citing, cited = citing[firsts], cited[firsts]
+    return CitationNetwork(
+        paper_ids=[ids[code] for code in paper_codes.tolist()],
+        publication_times=log.times[papers],
+        citing=citing,
+        cited=cited,
+    )
 
 
 def batch_compute(

@@ -472,6 +472,43 @@ class TestCrashBetweenAppendAndPublish:
         assert_fresh_slices(service.sharded, service.index)
 
 
+    def test_step_after_a_crash_at_the_sync_swap(self, hepth_tiny):
+        """A step killed after the index published its batch has still
+        consumed that batch: stepping on applies the next one, never
+        the same papers twice."""
+        from repro.stream import batch_compute
+        from shardoracle import assert_fresh_slices
+
+        methods = ("AR", "PR", "CC")
+        log = EventLog.from_network(hepth_tiny)
+        ingestor = StreamIngestor(
+            log, methods, batch_size=64, bootstrap_size=len(log) - 600,
+            shards=3,
+        )
+        ingestor.step()
+        plan = FaultPlan.single("shard.sync.swap", kind="crash", invocation=1)
+        crashes = 0
+        with FaultInjector(plan) as injector:
+            while not ingestor.exhausted:
+                version = ingestor.index.version
+                try:
+                    ingestor.step()
+                except InjectedCrash:
+                    crashes += 1
+                assert ingestor.index.version == version + 1
+                assert ingestor.batches_applied == ingestor.index.version + 1
+        assert crashes == 1 and len(injector.fired) == 1
+        ingestor.finalize()
+        ingestor.service.top_k("CC", k=3)
+        reference = batch_compute(log, methods)
+        assert ingestor.index.network.paper_ids == reference.network.paper_ids
+        for label in methods:
+            assert np.array_equal(
+                ingestor.index.scores(label), reference.scores(label)
+            )
+        assert_fresh_slices(ingestor.service.sharded, ingestor.index)
+
+
 # ----------------------------------------------------------------------
 # Scenario runs (the chaos-marked CI subset)
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,61 @@ class TestCaptureAndLoad:
             json.dump(payload, handle)
         with pytest.raises(DataFormatError, match="malformed"):
             Checkpoint.load(directory)
+
+
+_MANIFEST = {
+    "format": "repro-stream-checkpoint",
+    "checkpoint_format_version": 1,
+    "offset": 10,
+    "batches_applied": 2,
+    "batch_size": 64,
+    "watermark_years": None,
+    "shards": 1,
+    "partitioner": "hash",
+    "missing_references": "skip",
+    "log_digest": "0" * 64,
+    "index_version": 1,
+    "index_file": "index-v00000001.npz",
+    "created_utc": "2026-01-01T00:00:00Z",
+}
+
+
+def _manifest(**fields) -> bytes:
+    return json.dumps({**_MANIFEST, **fields}).encode("utf-8")
+
+
+class TestHostileManifest:
+    def test_hand_written_manifest_loads(self, tmp_path):
+        (tmp_path / "checkpoint.json").write_bytes(_manifest())
+        state = Checkpoint.load(str(tmp_path))
+        assert (state.offset, state.batch_size) == (10, 64)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"[]", id="top-level-list"),
+            pytest.param(
+                _manifest(checkpoint_format_version="x"), id="string-version"
+            ),
+            pytest.param(
+                _manifest(checkpoint_format_version=[]), id="list-version"
+            ),
+            pytest.param(
+                _manifest(checkpoint_format_version=True), id="boolean-version"
+            ),
+            pytest.param(
+                b'{"format": "repro-stream-checkpoint\xff"}', id="non-utf8"
+            ),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
+            pytest.param(_manifest(offset=True), id="boolean-offset"),
+            pytest.param(_manifest(batch_size=64.0), id="float-batch-size"),
+        ],
+    )
+    def test_typed_error_names_the_file(self, tmp_path, body):
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(body)
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            Checkpoint.load(str(tmp_path))
 
 
 class TestResume:

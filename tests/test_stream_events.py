@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -199,6 +201,32 @@ class TestHeaderHardening:
         with pytest.raises(DataFormatError, match="malformed n_events"):
             EventLog.load(str(path))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param('"log_format_version": true', id="boolean-version"),
+            pytest.param('"log_format_version": 1.9', id="float-version"),
+            pytest.param(
+                '"log_format_version": 1, "n_events": 2.7', id="float-count"
+            ),
+            pytest.param(
+                '"log_format_version": 1, "n_events": 2.0',
+                id="integral-float-count",
+            ),
+        ],
+    )
+    def test_load_accepts_only_json_integers(self, tmp_path, fields):
+        # Read through int(), each header would pass as version 1
+        # declaring the file's two events.
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"format": "repro-event-log", ' + fields + "}\n"
+            '{"type": "paper", "time": 2000.0, "id": "a"}\n'
+            '{"type": "paper", "time": 2001.0, "id": "b"}\n'
+        )
+        with pytest.raises(DataFormatError, match="malformed"):
+            EventLog.load(str(path))
+
 
 _HEADER = b'{"format": "repro-event-log", "log_format_version": 1}\n'
 _PAPER_A = b'{"type": "paper", "time": 2000.0, "id": "a"}\n'
@@ -339,3 +367,133 @@ class TestLoaderFuzz:
         assert [repr(event.time) for event in loaded] == [
             repr(event.time) for event in log
         ]
+
+
+# ----------------------------------------------------------------------
+# Loader oracle: non-canonical files against a per-line json.loads
+# ----------------------------------------------------------------------
+_TIME_DRAWS = st.one_of(_TIMES, st.just(-0.0))
+
+
+def _number(value: float, draw) -> str:
+    """``value`` as a JSON number in a drawn form: repr, exponent, or
+    (for an integral value) integer."""
+    forms = [repr(value), "%.17e" % value, "%.17E" % value]
+    if value == int(value):
+        forms.append(str(int(value)))
+    return draw(st.sampled_from(forms))
+
+
+def _object(payload: dict, draw) -> str:
+    """One JSON object line: shuffled keys, drawn spacing, escaped or
+    raw non-ASCII strings, padding, and an LF or CRLF ending."""
+    ascii_only = draw(st.booleans())
+    item_sep = draw(st.sampled_from([",", ", ", " ,\t"]))
+    key_sep = draw(st.sampled_from([":", ": ", " :  "]))
+
+    def value(item) -> str:
+        if isinstance(item, float):
+            return _number(item, draw)
+        return json.dumps(item, ensure_ascii=ascii_only)
+
+    body = item_sep.join(
+        json.dumps(key, ensure_ascii=ascii_only) + key_sep
+        + value(payload[key])
+        for key in draw(st.permutations(sorted(payload)))
+    )
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return (
+        draw(pad) + "{" + body + "}" + draw(pad)
+        + draw(st.sampled_from(["\n", "\r\n"]))
+    )
+
+
+@st.composite
+def _log_files(draw) -> bytes:
+    """A valid log in non-canonical form, with blank lines, cited ids
+    outside the log, and references to papers that arrive later."""
+    ids = draw(st.lists(_IDS, min_size=1, max_size=8, unique=True))
+    times = sorted(
+        draw(st.lists(_TIME_DRAWS, min_size=len(ids), max_size=len(ids)))
+    )
+    targets = ids + draw(st.lists(_IDS, max_size=3))
+    events: list[dict] = []
+    for paper, time in zip(ids, times):
+        events.append({"type": "paper", "time": time, "id": paper})
+        events.extend(
+            {"type": "cite", "time": time, "citing": paper, "cited": cited}
+            for cited in draw(st.lists(st.sampled_from(targets), max_size=3))
+            if cited != paper
+        )
+    header = {
+        "format": "repro-event-log",
+        "log_format_version": 1,
+        "n_events": len(events),
+    }
+    blank = st.sampled_from(["\n", " \r\n", "\t\n"])
+    lines = [_object(header, draw)]
+    for event in events:
+        lines.extend(draw(st.lists(blank, max_size=2)))
+        lines.append(_object(event, draw))
+    return "".join(lines).encode("utf-8")
+
+
+def _reference_events(data: bytes) -> list:
+    """The events of a log file, parsed with json.loads line by line."""
+    events = []
+    for raw in data.split(b"\n")[1:]:
+        text = raw.decode("utf-8")
+        if not text.strip():
+            continue
+        payload = json.loads(text)
+        time = float(payload["time"])
+        if payload["type"] == "paper":
+            events.append(PaperEvent(time, payload["id"]))
+        else:
+            events.append(
+                CitationEvent(time, payload["citing"], payload["cited"])
+            )
+    return events
+
+
+def _canonical_line(event) -> str:
+    if isinstance(event, PaperEvent):
+        payload = {"type": "paper", "time": event.time, "id": event.paper_id}
+    else:
+        payload = {
+            "type": "cite",
+            "time": event.time,
+            "citing": event.citing,
+            "cited": event.cited,
+        }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+class TestLoaderOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_log_files())
+    def test_load_matches_a_per_line_json_parse(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("oracle")
+        path = directory / "events.jsonl"
+        path.write_bytes(data)
+        loaded = EventLog.load(str(path))
+        expected = _reference_events(data)
+        assert list(loaded) == expected
+        assert [repr(event.time) for event in loaded] == [
+            repr(event.time) for event in expected
+        ]
+        body = "".join(_canonical_line(event) for event in expected)
+        body_bytes = body.encode("utf-8")
+        assert loaded.digest() == hashlib.sha256(body_bytes).hexdigest()
+        header = json.dumps(
+            {
+                "format": "repro-event-log",
+                "log_format_version": 1,
+                "n_events": len(expected),
+            },
+            sort_keys=True,
+        )
+        loaded.save(str(directory / "saved.jsonl"))
+        assert (directory / "saved.jsonl").read_bytes() == (
+            header.encode("utf-8") + b"\n" + body_bytes
+        )

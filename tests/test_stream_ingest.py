@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, StreamError
+from repro.errors import ConfigurationError, GraphError, StreamError
+from repro.graph import NetworkBuilder
 from repro.stream import (
+    CitationEvent,
     EventLog,
     PaperEvent,
     StreamIngestor,
@@ -231,6 +235,134 @@ class TestReplay:
         )
         with pytest.raises(GraphError, match="ghost"):
             erroring.replay()
+
+
+# ----------------------------------------------------------------------
+# Oracles: the column paths against per-event loops
+# ----------------------------------------------------------------------
+_IDS = st.text(alphabet="abcdefgh", min_size=1, max_size=2)
+
+
+@st.composite
+def _logs(draw) -> EventLog:
+    """Valid logs whose references repeat, leave the log, or name papers
+    that arrive later."""
+    ids = draw(st.lists(_IDS, min_size=1, max_size=12, unique=True))
+    times = sorted(
+        draw(
+            st.lists(
+                st.integers(1990, 2000), min_size=len(ids), max_size=len(ids)
+            )
+        )
+    )
+    targets = ids + ["outside"]
+    events = []
+    for paper, year in zip(ids, times):
+        events.append(PaperEvent(float(year), paper))
+        events.extend(
+            CitationEvent(float(year), paper, cited)
+            for cited in draw(st.lists(st.sampled_from(targets), max_size=4))
+            if cited != paper
+        )
+    return EventLog(events)
+
+
+def _builder_network(events, policy):
+    """The snapshot a NetworkBuilder builds, fed one event at a time."""
+    builder = NetworkBuilder(missing_references=policy)
+    for event in events:
+        if isinstance(event, PaperEvent):
+            builder.add_paper(event.paper_id, event.time)
+        else:
+            builder.add_reference(event.citing, event.cited)
+    return builder.build()
+
+
+def _outcome(build) -> object:
+    """A network's ids, time bytes and edges, or the GraphError text."""
+    try:
+        network = build()
+    except GraphError as error:
+        return f"GraphError: {error}"
+    return (
+        network.paper_ids,
+        network.publication_times.tobytes(),
+        network.citing.tolist(),
+        network.cited.tolist(),
+    )
+
+
+def _reference_cut(events, start, minimum, watermark) -> int:
+    """The first legal cut past ``start``, by a scan of every event."""
+    for position in range(start + 1, len(events)):
+        event = events[position]
+        if not isinstance(event, PaperEvent):
+            continue
+        if position - start >= minimum:
+            return position
+        if (
+            watermark is not None
+            and event.time - events[start].time >= watermark
+        ):
+            return position
+    return len(events)
+
+
+class TestColumnOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log=_logs(),
+        size=st.integers(1, 40),
+        policy=st.sampled_from(["skip", "error"]),
+    )
+    def test_network_builds_match_a_per_event_builder(self, log, size, policy):
+        events = log.events
+        assert _outcome(
+            lambda: network_from_log(log, missing_references=policy)
+        ) == _outcome(lambda: _builder_network(events, policy))
+
+        cut = _reference_cut(events, 0, size, None)
+        ingestor = StreamIngestor(
+            log, ("CC",), bootstrap_size=size, missing_references=policy
+        )
+
+        def bootstrap():
+            report = ingestor.step()
+            assert report.offset_end == cut
+            return ingestor.index.network
+
+        assert _outcome(bootstrap) == _outcome(
+            lambda: _builder_network(events[:cut], policy)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log=_logs(),
+        batch_size=st.integers(1, 6),
+        bootstrap_size=st.integers(1, 10),
+        watermark=st.one_of(
+            st.none(), st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.5, 6.0)
+        ),
+    )
+    def test_cuts_match_a_linear_scan(
+        self, log, batch_size, bootstrap_size, watermark
+    ):
+        events = log.events
+        ingestor = StreamIngestor(
+            log,
+            ("CC",),
+            batch_size=batch_size,
+            bootstrap_size=bootstrap_size,
+            watermark_years=watermark,
+        )
+        minimum = bootstrap_size
+        while not ingestor.exhausted:
+            start = ingestor.offset
+            report = ingestor.step()
+            assert report.offset_end == _reference_cut(
+                events, start, minimum, watermark
+            )
+            minimum = batch_size
 
 
 @pytest.mark.slow
