@@ -446,10 +446,8 @@ def run_gateway_scenario(
         refused_after_drain = asyncio.run(drive())
         report.fired = len(injector.fired) == 1
 
-    status_counts = dict(server.metrics.responses_by_status)
-    server_5xx = sum(
-        count for status, count in status_counts.items() if status >= 500
-    )
+    document = server.metrics_document()
+    server_5xx = document["responses"]["errors_5xx"]
     client_5xx = sum(1 for r in records if r["status"] >= 500)
     verified, mismatches = _verify_records(
         records, _ReplicaAtVersion(make_ingestor())
@@ -472,12 +470,10 @@ def run_gateway_scenario(
         {
             "responses": len(records),
             "drops": drops,
-            "status_counts": {
-                str(k): v for k, v in sorted(status_counts.items())
-            },
+            "status_counts": document["responses"]["by_status"],
             "verified_responses": verified,
             "mismatched_responses": mismatches,
-            "updates_applied": server.metrics.updates_applied,
+            "updates_applied": document["stream_updates"]["applied"],
             "updater_error": (
                 type(server.updater_error).__name__
                 if server.updater_error is not None

@@ -17,9 +17,12 @@ actually stand behind:
   :class:`~repro.serve.RankingService` calls;
 * :class:`AdmissionController` — bounded in-flight + queue with typed
   429/503 load shedding and per-endpoint token-bucket rate limits;
-* :class:`GatewayMetrics` — lock-free counters and fixed-bucket
-  latency histograms (p50/p95/p99), plus the serve-layer LRU cache
-  counters, rendered at ``/v1/metrics``;
+* :mod:`repro.gateway.metrics` — each server's request counters and
+  fixed-bucket latency histograms, :mod:`repro.obs.registry`
+  instruments in the server's own registry, and
+  :func:`metrics_document`, which renders ``/v1/metrics``
+  (p50/p95/p99, sheds, batch sizes, cache counters) from metric
+  families for one process or a fleet;
 * :class:`StreamUpdater` — a background task applying
   :class:`~repro.stream.StreamIngestor` micro-batches while the server
   keeps answering, with the version swap atomic against every read;
@@ -27,7 +30,7 @@ actually stand behind:
   workers share one port via ``SO_REUSEPORT`` and one score store via
   :mod:`repro.serve.shm` shared memory, with a supervisor that
   restarts crashes, runs the single-writer streaming updater, and
-  merges per-worker metrics into exact fleet-wide counters;
+  merges per-worker metric families into exact fleet-wide counters;
 * :func:`run_load_over_log` / :func:`run_load_static` — the load
   generator behind ``repro loadgen`` and the ``gateway`` bench
   scenario, which verifies every recorded response against a direct
@@ -48,11 +51,7 @@ from repro.gateway.loadgen import (
     run_load_over_log,
     run_load_static,
 )
-from repro.gateway.metrics import (
-    BatchSizeHistogram,
-    GatewayMetrics,
-    LatencyHistogram,
-)
+from repro.gateway.metrics import RequestInstruments, metrics_document
 from repro.gateway.server import GatewayConfig, GatewayServer, GatewayThread
 from repro.gateway.updates import StreamUpdater
 from repro.gateway.workers import MultiWorkerGateway
@@ -65,9 +64,8 @@ __all__ = [
     "run_load_over_log",
     "run_load_static",
     "run_load_multiworker",
-    "BatchSizeHistogram",
-    "GatewayMetrics",
-    "LatencyHistogram",
+    "RequestInstruments",
+    "metrics_document",
     "GatewayConfig",
     "GatewayServer",
     "GatewayThread",

@@ -54,9 +54,9 @@ from typing import Any, Callable, Sequence, Union
 
 from repro.chaos.points import chaos_point
 from repro.errors import GatewayError, ReproError
-from repro.gateway.metrics import GatewayMetrics
 from repro.obs.logging import current_request_id
 from repro.obs.profile import profile_phase
+from repro.obs.registry import Histogram
 from repro.obs.trace import span
 from repro.serve.batch import Query, QueryEngine, execute_with_attribution
 from repro.serve.service import RankingService
@@ -80,9 +80,9 @@ class RequestCoalescer:
         Largest single engine batch; pending requests beyond it wait
         for the next drain (they are not shed — that is admission's
         job).
-    metrics:
-        Optional :class:`~repro.gateway.GatewayMetrics` to record the
-        coalesced batch-size distribution into.
+    batch_sizes:
+        Optional :class:`~repro.obs.registry.Histogram` (unlabelled)
+        that records the size of every executed batch.
 
     Examples
     --------
@@ -108,7 +108,7 @@ class RequestCoalescer:
         backend: Backend,
         *,
         max_batch: int = 128,
-        metrics: GatewayMetrics | None = None,
+        batch_sizes: Histogram | None = None,
     ) -> None:
         if max_batch < 1:
             raise GatewayError(
@@ -116,7 +116,7 @@ class RequestCoalescer:
             )
         self._backend = backend
         self._max_batch = int(max_batch)
-        self._metrics = metrics
+        self._batch_sizes = batch_sizes
         # (query, future, submitter context, submitter request id):
         # the worker task has a context of its own, so the batch is
         # executed under the first submitter's copied context — the
@@ -242,8 +242,8 @@ class RequestCoalescer:
                     if not future.done():
                         future.set_exception(error)
             else:
-                if self._metrics is not None:
-                    self._metrics.batch_sizes.observe(len(batch))
+                if self._batch_sizes is not None:
+                    self._batch_sizes.observe(len(batch))
                 for (_, future, _, _), outcome in zip(batch, outcomes):
                     if future.done():  # client went away mid-batch
                         continue

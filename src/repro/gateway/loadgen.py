@@ -35,8 +35,9 @@ from typing import Any, Mapping, Sequence
 from urllib.parse import quote
 
 from repro.errors import GatewayError
-from repro.gateway.metrics import LatencyHistogram
+from repro.gateway.metrics import latency_summary, metrics_document
 from repro.gateway.server import GatewayConfig, GatewayServer
+from repro.obs.registry import Histogram
 from repro.serve.service import RankingService
 from repro.stream.events import EventLog
 from repro.stream.ingest import StreamIngestor
@@ -123,7 +124,7 @@ async def _client(
     port: int,
     plan: Sequence[Mapping[str, Any]],
     records: list[dict[str, Any]],
-    histogram: LatencyHistogram,
+    histogram: Histogram,
     *,
     retries: int = 0,
     retry_cap: float = 2.0,
@@ -345,10 +346,18 @@ def _client_plans(
     ]
 
 
+def _client_latency() -> Histogram:
+    """The client-observed latency histogram of one load run."""
+    return Histogram(
+        "repro_loadgen_latency_seconds",
+        "Client-observed request latency in seconds.",
+    )
+
+
 def _execute_run(
     server: GatewayServer,
     plans: Sequence[Sequence[Mapping[str, Any]]],
-) -> tuple[list[dict[str, Any]], LatencyHistogram, float]:
+) -> tuple[list[dict[str, Any]], Histogram, float]:
     """Start the server, run every client plan, drain, and time it.
 
     The one place the load loop lives — the bench (`gateway`
@@ -356,7 +365,7 @@ def _execute_run(
     (:func:`run_load_static`) must measure exactly the same thing.
     """
     records: list[dict[str, Any]] = []
-    histogram = LatencyHistogram()
+    histogram = _client_latency()
 
     async def drive() -> float:
         await server.start()
@@ -381,12 +390,19 @@ def _execute_run(
 
 def _report(
     records: list[dict[str, Any]],
-    histogram: LatencyHistogram,
+    histogram: Histogram,
     elapsed: float,
-    server: GatewayServer,
+    document: Mapping[str, Any] | None,
     verified: int,
     mismatches: int,
 ) -> dict[str, Any]:
+    """The load report of one run.
+
+    Client-side measures (latency, status counts) come from the
+    recorded traffic; server-side measures come from the gateway's
+    ``/v1/metrics`` document — one server's, or the fleet's final
+    merge (``None`` when that scrape failed, which reports zeros).
+    """
     status_counts: dict[str, int] = {}
     for record in records:
         key = str(record["status"])
@@ -403,24 +419,22 @@ def _report(
             if record["version"] is not None
         }
     )
-    cache_stats = None
-    if isinstance(server.backend, RankingService):
-        cache_stats = server.backend.cache_stats().as_dict()
+    server = document if document is not None else metrics_document(())
     return {
         "requests": len(records),
         "elapsed_seconds": elapsed,
         "requests_per_second": (
             len(records) / elapsed if elapsed > 0 else 0.0
         ),
-        "latency": histogram.snapshot(),
+        "latency": latency_summary(histogram.collect()),
         "status_counts": status_counts,
         "errors_5xx": errors_5xx,
-        "shed_429": server.metrics.shed_429,
-        "shed_503": server.metrics.shed_503,
-        "coalescing": server.metrics.batch_sizes.snapshot(),
-        "updates_applied": server.metrics.updates_applied,
+        "shed_429": server["responses"]["shed_429"],
+        "shed_503": server["responses"]["shed_503"],
+        "coalescing": server["coalescing"],
+        "updates_applied": server["stream_updates"]["applied"],
         "versions_observed": versions,
-        "result_cache": cache_stats,
+        "result_cache": server.get("result_cache"),
         "verified_responses": verified,
         "mismatched_responses": mismatches,
         "identical_rankings": mismatches == 0 and verified > 0,
@@ -499,7 +513,8 @@ def run_load_over_log(
             records, _ReplicaAtVersion(make_ingestor())
         )
     return _report(
-        records, histogram, elapsed, server, verified, mismatches
+        records, histogram, elapsed, server.metrics_document(), verified,
+        mismatches,
     )
 
 
@@ -567,76 +582,14 @@ def run_load_static(
             ),
         )
     return _report(
-        records, histogram, elapsed, server, verified, mismatches
+        records, histogram, elapsed, server.metrics_document(), verified,
+        mismatches,
     )
 
 
 # ----------------------------------------------------------------------
 # Multi-worker run driver
 # ----------------------------------------------------------------------
-def _mp_report(
-    records: list[dict[str, Any]],
-    histogram: LatencyHistogram,
-    elapsed: float,
-    fleet: Mapping[str, Any] | None,
-    workers: int,
-    verified: int,
-    mismatches: int,
-) -> dict[str, Any]:
-    """The multi-worker analogue of :func:`_report`.
-
-    Client-side measures (latency, status counts) come from the
-    recorded traffic exactly as in the single-process report; the
-    server-side measures come from the supervisor's final fleet-wide
-    metrics merge instead of one in-process server object.
-    """
-    status_counts: dict[str, int] = {}
-    for record in records:
-        key = str(record["status"])
-        status_counts[key] = status_counts.get(key, 0) + 1
-    errors_5xx = sum(
-        count
-        for status, count in status_counts.items()
-        if int(status) >= 500
-    )
-    versions = sorted(
-        {
-            int(record["version"])
-            for record in records
-            if record["version"] is not None
-        }
-    )
-    report = {
-        "workers": workers,
-        "requests": len(records),
-        "elapsed_seconds": elapsed,
-        "requests_per_second": (
-            len(records) / elapsed if elapsed > 0 else 0.0
-        ),
-        "latency": histogram.snapshot(),
-        "status_counts": status_counts,
-        "errors_5xx": errors_5xx,
-        "shed_429": 0,
-        "shed_503": 0,
-        "coalescing": {"mean_batch_size": 0.0},
-        "updates_applied": 0,
-        "worker_restarts": 0,
-        "versions_observed": versions,
-        "result_cache": None,
-        "verified_responses": verified,
-        "mismatched_responses": mismatches,
-        "identical_rankings": mismatches == 0 and verified > 0,
-    }
-    if fleet is not None:
-        report["shed_429"] = fleet["responses"]["shed_429"]
-        report["shed_503"] = fleet["responses"]["shed_503"]
-        report["coalescing"] = fleet["coalescing"]
-        report["updates_applied"] = fleet["stream_updates"]["applied"]
-        report["worker_restarts"] = fleet["workers"]["restarts"]
-        report["fleet_latency"] = fleet["latency"]["overall"]
-    return report
-
-
 def run_load_multiworker(
     log: EventLog,
     methods: Sequence[str] = ("AR", "PR", "CC"),
@@ -711,7 +664,7 @@ def run_load_multiworker(
         ingestor=ingestor if live_updates else None,
     )
     records: list[dict[str, Any]] = []
-    histogram = LatencyHistogram()
+    histogram = _client_latency()
     gateway.start()
     try:
         gateway.start_supervision_thread()
@@ -739,7 +692,11 @@ def run_load_multiworker(
         verified, mismatches = _verify_records(
             records, _ReplicaAtVersion(make_ingestor())
         )
-    return _mp_report(
-        records, histogram, elapsed, fleet, workers, verified,
-        mismatches,
+    report = _report(
+        records, histogram, elapsed, fleet, verified, mismatches
     )
+    report["workers"] = workers
+    report["worker_restarts"] = gateway.restarts
+    if fleet is not None:
+        report["fleet_latency"] = fleet["latency"]["overall"]
+    return report

@@ -1,458 +1,272 @@
-"""Lock-free gateway observability: counters and latency histograms.
+"""The gateway's request metrics and the ``/v1/metrics`` document.
 
-A serving tier is only operable if its latency distribution is visible
-*while it serves*; a mean hides exactly the tail that a ranking site's
-front page dies on.  This module keeps the accounting cheap enough to
-sit on the request hot path:
+A gateway records six request families as ordinary
+:mod:`repro.obs.registry` instruments (:class:`RequestInstruments`):
+requests by endpoint, responses by status, 429/503 sheds, latency by
+endpoint, coalesced batch sizes, and applied stream updates.  Each
+:class:`~repro.gateway.GatewayServer` registers them in a
+:class:`~repro.obs.registry.MetricsRegistry` of its own rather than
+the process-global :data:`~repro.obs.registry.REGISTRY`, so several
+gateways in one process keep separate counts.
 
-* every instrument is a plain Python ``int`` bumped inline — atomic
-  enough under the GIL (and exact in the gateway's single-threaded
-  event loop), so there are no locks to contend on;
-* latencies go into a :class:`LatencyHistogram` with *fixed*
-  geometric buckets — recording is one bisect + one increment, and
-  quantiles (p50/p95/p99) are recovered from the bucket counts on
-  demand, so a million observations cost a few hundred ints of memory;
-* coalesced batch sizes go into a small fixed histogram too, which is
-  how the bench reports the batch-size distribution that request
-  coalescing actually achieved.
-
-``/v1/metrics`` renders one JSON document from a snapshot of all of
-this plus the serve-layer LRU counters
-(:meth:`~repro.serve.RankingService.cache_stats`); the same snapshot
-also exports as Prometheus metric families
-(:meth:`GatewayMetrics.collect`) for ``?format=prometheus``, with the
-bucket math shared with :mod:`repro.obs.registry`.
+The ``/v1/metrics`` JSON document is one function of a list of metric
+families, :func:`metrics_document`.  A single process renders its own
+registry's families; the multi-worker supervisor renders
+:func:`~repro.obs.registry.merge_family_states` over the workers'
+scraped states.  Both compute every number the same way: counters are
+sums, and latency quantiles come from bucket counts.  A family
+carries no observed maximum, so a quantile is bounded by the upper
+bound of the bucket it falls in, and one in the overflow bucket
+reports the last finite bound.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Mapping, Sequence
+import math
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.obs.registry import (
+    Counter,
+    Histogram,
     MetricFamily,
-    Sample,
-    counter_family,
-    cumulative_buckets,
-    geometric_bounds,
-    histogram_samples,
+    MetricsRegistry,
     quantile_from_buckets,
 )
 
-__all__ = ["LatencyHistogram", "BatchSizeHistogram", "GatewayMetrics"]
+__all__ = ["RequestInstruments", "latency_summary", "metrics_document"]
+
+REQUESTS = "repro_gateway_requests_total"
+RESPONSES = "repro_gateway_responses_total"
+SHED = "repro_gateway_requests_shed_total"
+UPDATES = "repro_gateway_stream_updates_total"
+LATENCY = "repro_gateway_request_latency_seconds"
+BATCH_SIZE = "repro_gateway_coalesced_batch_size"
+
+#: Batch-size buckets ``1, 2, 3-4, 5-8, ..., 513-1024`` plus overflow:
+#: the signal is "are batches forming at all", which the low buckets
+#: answer exactly.
+BATCH_SIZE_BOUNDS = tuple(float(1 << b) for b in range(11))
 
 
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with quantile recovery.
+class RequestInstruments(NamedTuple):
+    """Handles on the six request families of one registry."""
 
-    Buckets are geometric from 50 microseconds to 30 seconds (ten per
-    decade, ~59 buckets); quantiles interpolate linearly *within* the
-    bucket the rank falls into, which keeps the typical estimation
-    error to a few percent of the ~26%-wide bucket.  Everything above
-    the last bound lands in a +inf overflow bucket.
-
-    >>> hist = LatencyHistogram()
-    >>> for ms in (1, 1, 2, 50):
-    ...     hist.observe(ms / 1000.0)
-    >>> hist.count
-    4
-    >>> hist.quantile(0.5) < hist.quantile(0.99)
-    True
-    """
-
-    __slots__ = ("_bounds", "_counts", "count", "total_seconds", "max_seconds")
-
-    BOUNDS = geometric_bounds(50e-6, 30.0, per_decade=10)
-
-    def __init__(self) -> None:
-        self._bounds = self.BOUNDS
-        self._counts = [0] * (len(self._bounds) + 1)
-        self.count = 0
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one latency (seconds)."""
-        self._counts[bisect_left(self._bounds, seconds)] += 1
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    def quantile(self, q: float) -> float:
-        """The interpolated ``q``-quantile in seconds (0 if empty).
-
-        Linear interpolation within the bucket the quantile rank falls
-        into (uniform-within-bucket assumption), capped at the observed
-        maximum; the overflow bucket reports the observed maximum.
-        """
-        return quantile_from_buckets(
-            self._bounds, self._counts, self.count, self.max_seconds, q
-        )
-
-    @property
-    def mean(self) -> float:
-        """Mean latency in seconds (0 when empty)."""
-        return self.total_seconds / self.count if self.count else 0.0
-
-    @property
-    def sum(self) -> float:
-        """Total observed seconds (the Prometheus ``_sum`` series)."""
-        return self.total_seconds
-
-    def bucket_pairs(self) -> tuple[tuple[str, int], ...]:
-        """Cumulative ``(le, count)`` pairs for ``_bucket`` export."""
-        return cumulative_buckets(self._bounds, self._counts)
-
-    def snapshot(self) -> dict[str, int | float]:
-        """Quantiles and totals, in milliseconds, JSON-ready.
-
-        ``count`` is an integer, the rest are floats — the annotation
-        says so (``int | float``) instead of pretending everything is
-        a float.
-        """
-        return {
-            "count": self.count,
-            "mean_ms": self.mean * 1000.0,
-            "p50_ms": self.quantile(0.50) * 1000.0,
-            "p95_ms": self.quantile(0.95) * 1000.0,
-            "p99_ms": self.quantile(0.99) * 1000.0,
-            "max_ms": self.max_seconds * 1000.0,
-        }
-
-    def state_dict(self) -> dict[str, Any]:
-        """Raw bucket counts and totals — the mergeable representation.
-
-        Quantiles cannot be combined across processes, bucket counts
-        can: the multi-worker supervisor scrapes each worker's state
-        and :meth:`merge_state`\\ s them into one histogram whose
-        quantiles are exact over the whole fleet (same fixed bounds
-        everywhere).
-        """
-        return {
-            "counts": list(self._counts),
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "max_seconds": self.max_seconds,
-        }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold one :meth:`state_dict` into this histogram."""
-        counts = state["counts"]
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"histogram bucket mismatch: {len(counts)} != "
-                f"{len(self._counts)} (different BOUNDS?)"
-            )
-        for position, count in enumerate(counts):
-            self._counts[position] += int(count)
-        self.count += int(state["count"])
-        self.total_seconds += float(state["total_seconds"])
-        self.max_seconds = max(
-            self.max_seconds, float(state["max_seconds"])
-        )
-
-
-class BatchSizeHistogram:
-    """Distribution of coalesced batch sizes (1, 2, ..., 2^k buckets).
-
-    Power-of-two buckets: ``1``, ``2``, ``3-4``, ``5-8``, ... —
-    the interesting signal is "are batches forming at all", which the
-    low buckets answer exactly.
-    """
-
-    __slots__ = ("_counts", "batches", "requests")
-
-    N_BUCKETS = 12  # last bucket: > 2^10 = 1024
-
-    def __init__(self) -> None:
-        self._counts = [0] * self.N_BUCKETS
-        self.batches = 0
-        self.requests = 0
-
-    def observe(self, size: int) -> None:
-        """Record one executed batch of ``size`` requests."""
-        bucket = 0 if size <= 1 else min(
-            (size - 1).bit_length(), self.N_BUCKETS - 1
-        )
-        self._counts[bucket] += 1
-        self.batches += 1
-        self.requests += size
-
-    @property
-    def mean(self) -> float:
-        """Mean requests per executed batch (0 when idle)."""
-        return self.requests / self.batches if self.batches else 0.0
-
-    def bucket_pairs(self) -> tuple[tuple[str, int], ...]:
-        """Cumulative ``(le, count)`` pairs (le = 1, 2, 4, ..., 1024)."""
-        bounds = tuple(
-            float(1 << b) for b in range(self.N_BUCKETS - 1)
-        )
-        return cumulative_buckets(bounds, self._counts)
-
-    def state_dict(self) -> dict[str, Any]:
-        """Raw bucket counts and totals (mergeable across workers)."""
-        return {
-            "counts": list(self._counts),
-            "batches": self.batches,
-            "requests": self.requests,
-        }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold one :meth:`state_dict` into this histogram."""
-        for position, count in enumerate(state["counts"]):
-            self._counts[position] += int(count)
-        self.batches += int(state["batches"])
-        self.requests += int(state["requests"])
-
-    def snapshot(self) -> dict[str, Any]:
-        """Bucket labels -> counts, plus totals."""
-        labels = ["1"]
-        for b in range(1, self.N_BUCKETS - 1):
-            lo, hi = (1 << (b - 1)) + 1, 1 << b
-            labels.append(str(hi) if lo == hi else f"{lo}-{hi}")
-        labels.append(f">{1 << (self.N_BUCKETS - 2)}")
-        return {
-            "batches": self.batches,
-            "requests": self.requests,
-            "mean_batch_size": self.mean,
-            "distribution": {
-                label: count
-                for label, count in zip(labels, self._counts)
-                if count
-            },
-        }
-
-
-class GatewayMetrics:
-    """All gateway instruments behind one facade.
-
-    One instance per gateway; the server, admission controller,
-    coalescer and stream updater all write into it, and ``/v1/metrics``
-    (plus the bench harness) reads :meth:`render`.
-    """
-
-    def __init__(self) -> None:
-        self.started_requests = 0
-        self.responses_by_status: dict[int, int] = {}
-        self.requests_by_endpoint: dict[str, int] = {}
-        self.shed_429 = 0
-        self.shed_503 = 0
-        self.updates_applied = 0
-        self.batch_sizes = BatchSizeHistogram()
-        self._latency_by_endpoint: dict[str, LatencyHistogram] = {}
-
-    def note_request(self, endpoint: str) -> None:
-        """Count one arriving request against its endpoint."""
-        self.started_requests += 1
-        counts = self.requests_by_endpoint
-        counts[endpoint] = counts.get(endpoint, 0) + 1
-
-    def note_response(
-        self, endpoint: str, status: int, seconds: float
-    ) -> None:
-        """Count one finished response and record its latency."""
-        by_status = self.responses_by_status
-        by_status[status] = by_status.get(status, 0) + 1
-        if status == 429:
-            self.shed_429 += 1
-        elif status == 503:
-            self.shed_503 += 1
-        self.latency(endpoint).observe(seconds)
-
-    def note_update(self) -> None:
-        """Count one live stream micro-batch applied."""
-        self.updates_applied += 1
-
-    def latency(self, endpoint: str) -> LatencyHistogram:
-        """The latency histogram of one endpoint (created on demand)."""
-        hist = self._latency_by_endpoint.get(endpoint)
-        if hist is None:
-            hist = self._latency_by_endpoint.setdefault(
-                endpoint, LatencyHistogram()
-            )
-        return hist
-
-    def combined_latency(self) -> LatencyHistogram:
-        """All endpoints pooled into one histogram (for the bench)."""
-        pooled = LatencyHistogram()
-        for hist in self._latency_by_endpoint.values():
-            for position, count in enumerate(hist._counts):
-                pooled._counts[position] += count
-            pooled.count += hist.count
-            pooled.total_seconds += hist.total_seconds
-            pooled.max_seconds = max(pooled.max_seconds, hist.max_seconds)
-        return pooled
-
-    def state_dict(self) -> dict[str, Any]:
-        """Every counter and raw histogram — the cross-process wire form.
-
-        Each multi-worker gateway process serves this as
-        ``/v1/metrics?format=state`` on its private control port; the
-        supervisor merges the workers' states with
-        :meth:`merge_states` and renders ONE fleet-wide document whose
-        counters are exact sums and whose latency quantiles come from
-        summed bucket counts (not from averaging per-worker
-        quantiles, which would be wrong).
-        """
-        return {
-            "started_requests": self.started_requests,
-            "responses_by_status": {
-                str(status): count
-                for status, count in self.responses_by_status.items()
-            },
-            "requests_by_endpoint": dict(self.requests_by_endpoint),
-            "shed_429": self.shed_429,
-            "shed_503": self.shed_503,
-            "updates_applied": self.updates_applied,
-            "batch_sizes": self.batch_sizes.state_dict(),
-            "latency_by_endpoint": {
-                endpoint: hist.state_dict()
-                for endpoint, hist in self._latency_by_endpoint.items()
-            },
-        }
+    requests: Counter
+    responses: Counter
+    shed: Counter
+    updates: Counter
+    latency: Histogram
+    batch_sizes: Histogram
 
     @classmethod
-    def merge_states(
-        cls, states: "Sequence[Mapping[str, Any]]"
-    ) -> "GatewayMetrics":
-        """One ``GatewayMetrics`` holding the sum of worker states."""
-        merged = cls()
-        for state in states:
-            merged.started_requests += int(state["started_requests"])
-            for status, count in state["responses_by_status"].items():
-                key = int(status)
-                merged.responses_by_status[key] = (
-                    merged.responses_by_status.get(key, 0) + int(count)
-                )
-            for endpoint, count in state["requests_by_endpoint"].items():
-                merged.requests_by_endpoint[endpoint] = (
-                    merged.requests_by_endpoint.get(endpoint, 0)
-                    + int(count)
-                )
-            merged.shed_429 += int(state["shed_429"])
-            merged.shed_503 += int(state["shed_503"])
-            merged.updates_applied += int(state["updates_applied"])
-            merged.batch_sizes.merge_state(state["batch_sizes"])
-            for endpoint, hist_state in state[
-                "latency_by_endpoint"
-            ].items():
-                merged.latency(endpoint).merge_state(hist_state)
-        return merged
+    def register(cls, registry: MetricsRegistry) -> "RequestInstruments":
+        """Register the families in ``registry`` and return the handles.
 
-    def render(
-        self, cache_stats: Mapping[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """The full ``/v1/metrics`` document (JSON-serialisable)."""
-        errors = sum(
-            count
-            for status, count in self.responses_by_status.items()
-            if status >= 500
-        )
-        document: dict[str, Any] = {
-            "requests": {
-                "started": self.started_requests,
-                "by_endpoint": dict(self.requests_by_endpoint),
-            },
-            "responses": {
-                "by_status": {
-                    str(status): count
-                    for status, count in sorted(
-                        self.responses_by_status.items()
-                    )
-                },
-                "shed_429": self.shed_429,
-                "shed_503": self.shed_503,
-                "errors_5xx": errors,
-            },
-            "latency": {
-                "overall": self.combined_latency().snapshot(),
-                "by_endpoint": {
-                    endpoint: hist.snapshot()
-                    for endpoint, hist in sorted(
-                        self._latency_by_endpoint.items()
-                    )
-                },
-            },
-            "coalescing": self.batch_sizes.snapshot(),
-            "stream_updates": {"applied": self.updates_applied},
-        }
-        if cache_stats is not None:
-            document["result_cache"] = dict(cache_stats)
-        return document
-
-    def collect(self) -> list[MetricFamily]:
-        """The gateway's request metrics as Prometheus families.
-
-        ``/v1/metrics?format=prometheus`` renders these next to the
-        process-global :data:`repro.obs.registry.REGISTRY` families
-        (solver, engine, updater) and the admission snapshot.
+        Both shed series and the batch-size series exist from the
+        start, so a scrape before the first shed or batch shows them
+        at zero (a rate over them needs that baseline).
         """
-        families = [
-            counter_family(
-                "repro_gateway_requests_total",
-                "Requests started, by endpoint.",
-                {
-                    (("endpoint", endpoint),): float(count)
-                    for endpoint, count in sorted(
-                        self.requests_by_endpoint.items()
-                    )
-                },
+        instruments = cls(
+            requests=registry.counter(
+                REQUESTS, "Requests started, by endpoint.", ["endpoint"]
             ),
-            counter_family(
-                "repro_gateway_responses_total",
-                "Responses sent, by HTTP status.",
-                {
-                    (("status", str(status)),): float(count)
-                    for status, count in sorted(
-                        self.responses_by_status.items()
-                    )
-                },
+            responses=registry.counter(
+                RESPONSES, "Responses sent, by HTTP status.", ["status"]
             ),
-            counter_family(
-                "repro_gateway_requests_shed_total",
+            shed=registry.counter(
+                SHED,
                 "Requests shed by admission control, by status.",
-                {
-                    (("status", "429"),): float(self.shed_429),
-                    (("status", "503"),): float(self.shed_503),
-                },
+                ["status"],
             ),
-            counter_family(
-                "repro_gateway_stream_updates_total",
-                "Live stream micro-batches applied.",
-                {(): float(self.updates_applied)},
+            updates=registry.counter(
+                UPDATES, "Live stream micro-batches applied."
             ),
-        ]
-        latency_samples: list[Sample] = []
-        for endpoint, hist in sorted(self._latency_by_endpoint.items()):
-            latency_samples.extend(
-                histogram_samples(
-                    (("endpoint", endpoint),),
-                    hist.bucket_pairs(),
-                    hist.sum,
-                    hist.count,
+            latency=registry.histogram(
+                LATENCY,
+                "Request latency in seconds, by endpoint.",
+                ["endpoint"],
+            ),
+            batch_sizes=registry.histogram(
+                BATCH_SIZE,
+                "Requests per coalesced engine batch.",
+                bounds=BATCH_SIZE_BOUNDS,
+            ),
+        )
+        instruments.shed.inc(0, status="429")
+        instruments.shed.inc(0, status="503")
+        instruments.batch_sizes.declare()
+        return instruments
+
+
+class _Buckets(NamedTuple):
+    """One histogram series read back from its cumulative samples."""
+
+    bounds: tuple[float, ...]
+    counts: tuple[int, ...]
+    total: float
+    count: int
+
+
+_NO_BUCKETS = _Buckets((), (0,), 0.0, 0)
+
+
+def _counts(family: MetricFamily | None, label: str) -> dict[str, int]:
+    """Counter values summed per value of ``label``."""
+    counts: dict[str, int] = {}
+    for sample in family.samples if family is not None else ():
+        key = dict(sample.labels)[label]
+        counts[key] = counts.get(key, 0) + int(sample.value)
+    return counts
+
+
+def _histograms(
+    family: MetricFamily | None, label: str | None
+) -> dict[str, _Buckets]:
+    """Histogram series summed per value of ``label`` (all: ``None``).
+
+    Series that share the grouping value are added bucket by bucket,
+    which is exact because every series of a family has the same
+    bounds.
+    """
+    cumulative: dict[str, dict[float, float]] = {}
+    sums: dict[str, float] = {}
+    counts: dict[str, float] = {}
+    for sample in family.samples if family is not None else ():
+        labels = dict(sample.labels)
+        key = labels.get(label, "") if label is not None else ""
+        if sample.suffix == "_bucket":
+            le = labels["le"]
+            bound = math.inf if le == "+Inf" else float(le)
+            series = cumulative.setdefault(key, {})
+            series[bound] = series.get(bound, 0.0) + sample.value
+        elif sample.suffix == "_sum":
+            sums[key] = sums.get(key, 0.0) + sample.value
+        else:
+            counts[key] = counts.get(key, 0.0) + sample.value
+    result: dict[str, _Buckets] = {}
+    for key, series in cumulative.items():
+        bounds = sorted(series)
+        running = [series[bound] for bound in bounds]
+        result[key] = _Buckets(
+            bounds=tuple(bounds[:-1]),
+            counts=tuple(
+                int(value - (running[i - 1] if i else 0.0))
+                for i, value in enumerate(running)
+            ),
+            total=sums.get(key, 0.0),
+            count=int(counts.get(key, 0.0)),
+        )
+    return result
+
+
+def _latency_summary(buckets: _Buckets) -> dict[str, int | float]:
+    """Count, mean and quantiles of one latency series, in ms.
+
+    No maximum is known, so the overflow bucket reports the last
+    finite bound.
+    """
+    count = buckets.count
+    summary: dict[str, int | float] = {
+        "count": count,
+        "mean_ms": 0.0,
+        "p50_ms": 0.0,
+        "p95_ms": 0.0,
+        "p99_ms": 0.0,
+    }
+    if count:
+        summary["mean_ms"] = buckets.total / count * 1000.0
+        for name, q in (("p50_ms", 0.5), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+            summary[name] = 1000.0 * quantile_from_buckets(
+                buckets.bounds, buckets.counts, count, buckets.bounds[-1], q
+            )
+    return summary
+
+
+def _batch_summary(buckets: _Buckets) -> dict[str, Any]:
+    """Batch and request totals plus the non-empty bucket counts."""
+    labels = []
+    previous = 0
+    for bound in buckets.bounds:
+        low, high = previous + 1, int(bound)
+        labels.append(str(high) if low == high else f"{low}-{high}")
+        previous = high
+    labels.append(f">{previous}")
+    return {
+        "batches": buckets.count,
+        "requests": int(buckets.total),
+        "mean_batch_size": (
+            buckets.total / buckets.count if buckets.count else 0.0
+        ),
+        "distribution": {
+            label: count
+            for label, count in zip(labels, buckets.counts)
+            if count
+        },
+    }
+
+
+def latency_summary(family: MetricFamily | None) -> dict[str, Any]:
+    """Every series of a latency family pooled into one summary.
+
+    ``count``, ``mean_ms``, ``p50_ms``, ``p95_ms`` and ``p99_ms``: the
+    document's ``latency.overall``, and the load generator's report of
+    its client-side latency histogram.
+    """
+    return _latency_summary(_histograms(family, None).get("", _NO_BUCKETS))
+
+
+def metrics_document(
+    families: Iterable[MetricFamily],
+    cache_stats: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The ``/v1/metrics`` document rendered from metric families.
+
+    Reads the six request families by name and ignores every other
+    family, so the input may be one registry's families or a fleet
+    merge of everything the workers export.  ``cache_stats`` adds the
+    serve-layer result-cache counters under ``result_cache``.
+    """
+    by_name = {family.name: family for family in families}
+    by_status = _counts(by_name.get(RESPONSES), "status")
+    shed = _counts(by_name.get(SHED), "status")
+    requests = _counts(by_name.get(REQUESTS), "endpoint")
+    latency = by_name.get(LATENCY)
+    updates = by_name.get(UPDATES)
+    document: dict[str, Any] = {
+        "requests": {
+            "started": sum(requests.values()),
+            "by_endpoint": dict(sorted(requests.items())),
+        },
+        "responses": {
+            "by_status": dict(
+                sorted(by_status.items(), key=lambda item: int(item[0]))
+            ),
+            "shed_429": shed.get("429", 0),
+            "shed_503": shed.get("503", 0),
+            "errors_5xx": sum(
+                count
+                for status, count in by_status.items()
+                if int(status) >= 500
+            ),
+        },
+        "latency": {
+            "overall": latency_summary(latency),
+            "by_endpoint": {
+                endpoint: _latency_summary(buckets)
+                for endpoint, buckets in sorted(
+                    _histograms(latency, "endpoint").items()
                 )
-            )
-        families.append(
-            MetricFamily(
-                name="repro_gateway_request_latency_seconds",
-                kind="histogram",
-                help="Request latency in seconds, by endpoint.",
-                samples=tuple(latency_samples),
-            )
-        )
-        families.append(
-            MetricFamily(
-                name="repro_gateway_coalesced_batch_size",
-                kind="histogram",
-                help="Requests per coalesced engine batch.",
-                samples=histogram_samples(
-                    (),
-                    self.batch_sizes.bucket_pairs(),
-                    float(self.batch_sizes.requests),
-                    self.batch_sizes.batches,
-                ),
-            )
-        )
-        return families
+            },
+        },
+        "coalescing": _batch_summary(
+            _histograms(by_name.get(BATCH_SIZE), None).get("", _NO_BUCKETS)
+        ),
+        "stream_updates": {
+            "applied": int(sum(s.value for s in updates.samples))
+            if updates is not None
+            else 0
+        },
+    }
+    if cache_stats is not None:
+        document["result_cache"] = dict(cache_stats)
+    return document

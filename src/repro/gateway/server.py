@@ -19,7 +19,9 @@ Endpoints
 ``GET /v1/metrics``
     The full observability document (latency quantiles, shed counts,
     coalesced batch sizes, serve-layer cache counters) as JSON, or the
-    Prometheus text exposition with ``?format=prometheus``.
+    Prometheus text exposition with ``?format=prometheus``.  A fleet
+    worker answers the JSON document for the whole fleet unless asked
+    for ``?scope=local``.
 ``GET /v1/trace``
     Recent request/update span trees from the trace ring buffer
     (``?limit=N``); empty until tracing is enabled.
@@ -64,7 +66,7 @@ from repro.errors import (
 )
 from repro.gateway.admission import AdmissionController, TokenBucket
 from repro.gateway.coalesce import Backend, RequestCoalescer
-from repro.gateway.metrics import GatewayMetrics
+from repro.gateway.metrics import RequestInstruments, metrics_document
 from repro.gateway.updates import StreamUpdater
 from repro.obs.logging import (
     bind_request_id,
@@ -85,6 +87,7 @@ from repro.obs.profile import (
 from repro.obs.registry import (
     REGISTRY,
     MetricFamily,
+    MetricsRegistry,
     counter_family,
     families_state,
     gauge_family,
@@ -216,7 +219,11 @@ class GatewayServer:
     ) -> None:
         self.config = config or GatewayConfig()
         self.backend = backend
-        self.metrics = GatewayMetrics()
+        #: This gateway's own request metrics (see
+        #: :mod:`repro.gateway.metrics`), kept apart from the
+        #: process-global REGISTRY so every server counts only itself.
+        self.registry = MetricsRegistry()
+        self._instruments = RequestInstruments.register(self.registry)
         rate_limits: dict[str, TokenBucket] = {}
         if self.config.rate_limit is not None:
             rate_limits = {
@@ -239,7 +246,7 @@ class GatewayServer:
         self.coalescer = RequestCoalescer(
             backend,
             max_batch=min(self.config.max_batch, self.config.max_inflight),
-            metrics=self.metrics,
+            batch_sizes=self._instruments.batch_sizes,
         )
         self.updater: StreamUpdater | None = None
         if ingestor is not None:
@@ -247,7 +254,7 @@ class GatewayServer:
                 ingestor,
                 self.coalescer,
                 interval=self.config.update_interval,
-                metrics=self.metrics,
+                updates=self._instruments.updates,
             )
         self.port: int | None = None
         self.control_port: int | None = None
@@ -501,7 +508,7 @@ class GatewayServer:
         path = split.path
         params = parse_qs(split.query)
         endpoint = self._endpoint_of(path)
-        self.metrics.note_request(endpoint)
+        self._instruments.requests.inc(endpoint=endpoint)
         # A client-supplied X-Request-Id replaces the generated one for
         # this request only (the token restores the connection id) —
         # after sanitization: control characters are rejected (the
@@ -542,14 +549,12 @@ class GatewayServer:
                         "text/plain; version=0.0.4; charset=utf-8"
                     )
                 elif wants == "state":
-                    # Raw mergeable counters: what the multi-worker
+                    # Raw mergeable families: what the multi-worker
                     # supervisor scrapes from each worker's control
-                    # port to build the fleet-wide document.  The
-                    # registry families ride along unlabelled so the
-                    # supervisor's merge sums matching series across
-                    # workers.
+                    # port to build the fleet-wide document.  They
+                    # stay unlabelled so the supervisor's merge sums
+                    # matching series across workers.
                     status, payload = 200, {
-                        "metrics": self.metrics.state_dict(),
                         "admission": self.admission.snapshot(),
                         "registry": families_state(
                             self._metric_families(labelled=False)
@@ -557,7 +562,15 @@ class GatewayServer:
                         "worker": self._worker_info(),
                     }
                 else:
-                    status, payload = 200, self._metrics_payload()
+                    proxied = (
+                        await self._fleet_fetch(target)
+                        if fleet_scope
+                        else None
+                    )
+                    if proxied is not None:
+                        status, payload, content_type = proxied
+                    else:
+                        status, payload = 200, self.metrics_document()
             elif endpoint in ("trace", "profile", "slo", "history"):
                 proxied = (
                     await self._fleet_fetch(target)
@@ -642,7 +655,11 @@ class GatewayServer:
                 if admitted:
                     self.admission.release()
                 elapsed = time.perf_counter() - started
-                self.metrics.note_response(endpoint, status, elapsed)
+                instruments = self._instruments
+                instruments.responses.inc(status=status)
+                if status == 429 or status == 503:
+                    instruments.shed.inc(status=status)
+                instruments.latency.observe(elapsed, endpoint=endpoint)
                 # The access line is DEBUG on purpose: metrics are the
                 # per-request accounting of record (counted and timed
                 # above), traces are the sampled deep-dive, and at
@@ -736,11 +753,16 @@ class GatewayServer:
             "live_updates": self.updater is not None,
         }
 
-    def _metrics_payload(self) -> dict[str, Any]:
+    def metrics_document(self) -> dict[str, Any]:
+        """This process's ``/v1/metrics`` document.
+
+        Rendered from this gateway's own registry, plus the result
+        cache counters and the admission snapshot.
+        """
         cache_stats = None
         if isinstance(self.backend, RankingService):
             cache_stats = self.backend.cache_stats().as_dict()
-        document = self.metrics.render(cache_stats)
+        document = metrics_document(self.registry.collect(), cache_stats)
         document["admission"] = self.admission.snapshot()
         return document
 
@@ -763,7 +785,7 @@ class GatewayServer:
         state form stays unlabelled so the supervisor's cross-worker
         merge sums matching series instead of keeping them apart.
         """
-        families: list[MetricFamily] = self.metrics.collect()
+        families = self.registry.collect()
         adm = self.admission.snapshot()
         families.append(
             gauge_family(

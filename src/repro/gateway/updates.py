@@ -35,8 +35,8 @@ import asyncio
 from repro.chaos.points import chaos_point
 from repro.errors import GatewayError
 from repro.gateway.coalesce import RequestCoalescer
-from repro.gateway.metrics import GatewayMetrics
 from repro.obs.logging import get_logger
+from repro.obs.registry import Counter
 from repro.obs.trace import start_trace
 from repro.serve.service import RankingService
 from repro.stream.ingest import BatchReport, StreamIngestor
@@ -64,8 +64,9 @@ class StreamUpdater:
         yields to the event loop once per batch).
     max_batches:
         Stop after this many batches (``None`` = run the log dry).
-    metrics:
-        Optional metrics sink (counts applied updates).
+    updates:
+        Optional unlabelled :class:`~repro.obs.registry.Counter` of
+        applied micro-batches.
     """
 
     def __init__(
@@ -75,7 +76,7 @@ class StreamUpdater:
         *,
         interval: float = 0.01,
         max_batches: int | None = None,
-        metrics: GatewayMetrics | None = None,
+        updates: Counter | None = None,
     ) -> None:
         backend = coalescer.backend
         if not isinstance(backend, RankingService):
@@ -96,7 +97,7 @@ class StreamUpdater:
         self._coalescer = coalescer
         self._interval = float(interval)
         self._max_batches = max_batches
-        self._metrics = metrics
+        self._updates = updates
         self._stopping = False
         self.batches_applied = 0
         self.versions_published: list[int] = []
@@ -149,8 +150,8 @@ class StreamUpdater:
             applied += 1
             self.batches_applied += 1
             self.versions_published.append(report.version)
-            if self._metrics is not None:
-                self._metrics.note_update()
+            if self._updates is not None:
+                self._updates.inc()
             _LOG.info(
                 "stream update",
                 extra={

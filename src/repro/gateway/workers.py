@@ -27,9 +27,9 @@ it on top of the shared-memory store (:mod:`repro.serve.shm`):
   socket and the surviving siblings keep answering), propagates
   **graceful drain** (SIGTERM to each worker triggers the gateway's
   in-process drain; the supervisor then unlinks every shared segment),
-  and **aggregates** ``/v1/metrics`` across workers by merging raw
-  counter/bucket states — exact sums and exact fleet-wide quantiles,
-  not averaged per-worker quantiles.
+  and **aggregates** ``/v1/metrics`` across workers by rendering the
+  merged metric families of every worker — exact sums and exact
+  fleet-wide quantiles, not averaged per-worker quantiles.
 
 ``repro serve-http --workers N`` is the CLI frontend;
 ``repro loadgen --workers N`` and the ``gateway_mp`` bench scenario
@@ -55,7 +55,7 @@ from repro.chaos import points as chaos_points
 from repro.chaos.faults import InjectedCrash
 from repro.chaos.points import chaos_point
 from repro.errors import GatewayError
-from repro.gateway.metrics import GatewayMetrics
+from repro.gateway.metrics import metrics_document
 from repro.gateway.server import GatewayConfig, GatewayServer
 from repro.obs.logging import (
     clear_worker_identity,
@@ -221,13 +221,13 @@ class _WorkerSlot:
 class _FleetStatsHandler(BaseHTTPRequestHandler):
     """The supervisor's merged-view endpoint handler.
 
-    Workers proxy public ``/v1/profile``, ``/v1/slo``,
-    ``/v1/metrics/history``, and ``/v1/trace`` requests here; the
-    handler fans ``?scope=local`` scrapes out across the fleet's
-    control ports and merges raw state — the same exact-sums discipline
-    as the metrics merge, applied to profiler stack counts and trace
-    rings.  Loopback-only and started before the first fork, so its
-    address travels to workers as a plain argument.
+    Workers proxy public ``/v1/metrics`` (JSON), ``/v1/profile``,
+    ``/v1/slo``, ``/v1/metrics/history``, and ``/v1/trace`` requests
+    here; the handler fans ``?scope=local`` scrapes out across the
+    fleet's control ports and merges raw state: summed metric
+    families, profiler stack counts and trace rings.  Loopback-only
+    and started before the first fork, so its address travels to
+    workers as a plain argument.
     """
 
     protocol_version = "HTTP/1.1"
@@ -242,7 +242,9 @@ class _FleetStatsHandler(BaseHTTPRequestHandler):
         status = 200
         content_type = "application/json"
         try:
-            if split.path == "/v1/profile":
+            if split.path == "/v1/metrics":
+                payload = gateway.aggregate_metrics()
+            elif split.path == "/v1/profile":
                 status, payload, content_type = gateway.fleet_profile(
                     params
                 )
@@ -697,8 +699,9 @@ class MultiWorkerGateway:
     def aggregate_metrics(self) -> dict[str, Any]:
         """One fleet-wide ``/v1/metrics`` document.
 
-        Scrapes every live worker's raw state over its control port
-        and merges: counters are exact sums; latency quantiles are
+        Scrapes every live worker's family state over its control port
+        and renders :func:`~repro.gateway.metrics.metrics_document` over
+        their merge: counters are exact sums; latency quantiles are
         recovered from the *summed* bucket counts (identical fixed
         bounds in every process), so the fleet p99 is exact — not an
         average of per-worker p99s.
@@ -720,9 +723,9 @@ class MultiWorkerGateway:
                 }
             )
             if scraped is not None:
-                states.append(scraped["metrics"])
+                states.append(scraped["registry"])
                 admissions.append(scraped["admission"])
-        document = GatewayMetrics.merge_states(states).render()
+        document = metrics_document(merge_family_states(states))
         document["stream_updates"] = {"applied": self.updates_applied}
         document["admission"] = {
             "active": sum(int(a["active"]) for a in admissions),

@@ -1,16 +1,13 @@
 """Named metric instruments and the Prometheus text exposition.
 
-The gateway's PR-5 metrics were bespoke: a facade of plain counters
-rendered as one JSON document.  This module generalises that into the
-three standard instrument kinds — :class:`Counter`, :class:`Gauge`,
-:class:`Histogram` — registered by name (optionally with label
-dimensions) in a :class:`MetricsRegistry`, plus a renderer for the
-Prometheus text exposition format (version 0.0.4): ``# HELP`` /
-``# TYPE`` comments, ``_bucket``/``_sum``/``_count`` histogram series
-with cumulative ``le`` buckets ending at ``+Inf``.
+The three standard instrument kinds — :class:`Counter`, :class:`Gauge`,
+:class:`Histogram` — are registered by name (optionally with label
+dimensions) in a :class:`MetricsRegistry`; :func:`render_families`
+renders them in the Prometheus text exposition format (version 0.0.4):
+``# HELP`` / ``# TYPE`` comments, ``_bucket``/``_sum``/``_count``
+histogram series with cumulative ``le`` buckets ending at ``+Inf``.
 
-The histogram bucket math lives here too, shared with the gateway's
-:class:`~repro.gateway.LatencyHistogram`:
+The histogram bucket math lives here too:
 
 * :func:`geometric_bounds` — the fixed geometric bucket layout;
 * :func:`quantile_from_buckets` — quantile recovery that interpolates
@@ -23,8 +20,9 @@ The histogram bucket math lives here too, shared with the gateway's
   Prometheus histogram exposes.
 
 A process-global :data:`REGISTRY` is the default sink for the serving
-layers (solver, delta updater, stream ingestor, query engine); the
-gateway renders it next to its own per-instance request metrics.
+layers (solver, delta updater, stream ingestor, query engine).  Each
+gateway records its request metrics in a registry of its own and
+renders it next to :data:`REGISTRY`.
 :meth:`MetricsRegistry.reset` zeroes values but keeps registrations,
 so module-level instrument handles stay live across test isolation.
 """
@@ -67,7 +65,7 @@ _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 # ----------------------------------------------------------------------
-# Bucket math (shared with the gateway's LatencyHistogram)
+# Bucket math
 # ----------------------------------------------------------------------
 def geometric_bounds(
     lo: float, hi: float, per_decade: int
@@ -131,7 +129,7 @@ def cumulative_buckets(
     """``(le_label, cumulative_count)`` pairs, ending with ``+Inf``.
 
     ``counts`` must have one more entry than ``bounds`` (the overflow
-    bucket), the layout both histogram classes use.
+    bucket), the layout :class:`Histogram` uses.
     """
     pairs: list[tuple[str, int]] = []
     running = 0
@@ -282,15 +280,24 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        # Keyword arguments cannot repeat a name, so a repeated label
+        # name could never be satisfied; rejecting it here lets _key
+        # compare against a set built once instead of sorting per call.
+        self._labelset = frozenset(self.labelnames)
+        if len(self._labelset) != len(self.labelnames):
+            raise ConfigurationError(
+                f"repeated label name for metric {name!r}: "
+                f"{list(self.labelnames)}"
+            )
         self._lock = threading.Lock()
 
     def _key(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
-        if tuple(sorted(labels)) != tuple(sorted(self.labelnames)):
+        if labels.keys() != self._labelset:
             raise ConfigurationError(
                 f"metric {self.name!r} takes labels "
                 f"{list(self.labelnames)}, got {sorted(labels)}"
             )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        return tuple([str(labels[name]) for name in self.labelnames])
 
     def _labels_of(self, key: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
         return tuple(zip(self.labelnames, key))
@@ -444,6 +451,15 @@ class Histogram(_Instrument):
                 key, _HistogramSeries(len(self.bounds))
             )
         return series
+
+    def declare(self, **labels: Any) -> None:
+        """Create the labelled series with every bucket at zero.
+
+        A series is exported once it exists, so declaring it gives a
+        scrape zero buckets before the first observation — what
+        ``Counter.inc(0, ...)`` does for a counter.
+        """
+        self._series_for(self._key(labels))
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation into the labelled series."""

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import Histogram
 from repro.obs.tsdb import TimeSeriesStore, counter_delta, parse_series_key
 
 __all__ = [
@@ -57,6 +58,9 @@ class SLO:
     ``kind`` is ``availability`` (good = non-5xx responses) or
     ``latency`` (good = requests at or under ``threshold`` seconds);
     ``objective`` is the target good-fraction (0 < objective < 1).
+    A latency threshold must lie within (0, 30] seconds: good requests
+    are counted from a latency bucket bound at or above it, and the
+    latency histogram's last finite bound is 30 s.
     """
 
     name: str
@@ -75,11 +79,14 @@ class SLO:
                 f"SLO objective must be within (0, 1), "
                 f"got {self.objective}"
             )
-        if self.kind == "latency" and (
-            self.threshold is None or self.threshold <= 0
+        last_bound = Histogram.DEFAULT_BOUNDS[-1]
+        if self.kind == "latency" and not (
+            self.threshold is not None
+            and 0.0 < self.threshold <= last_bound
         ):
             raise ConfigurationError(
-                "a latency SLO needs a positive threshold in seconds"
+                "a latency SLO needs a threshold within "
+                f"(0, {last_bound:g}] seconds, got {self.threshold}"
             )
 
     @property

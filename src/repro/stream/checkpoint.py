@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import reprlib
 import time
@@ -205,6 +206,13 @@ class Checkpoint:
                 watermark = float(
                     _typed(payload, "watermark_years", (int, float))
                 )
+                # json.loads accepts NaN and Infinity, which would turn
+                # the watermark off without a word.
+                if not 0 < watermark < math.inf:
+                    raise DataFormatError(
+                        f"{path}: watermark_years must be finite and "
+                        f"positive, got {watermark}"
+                    )
             return cls(
                 offset=_typed(payload, "offset", (int,)),
                 batches_applied=_typed(payload, "batches_applied", (int,)),

@@ -32,6 +32,7 @@ Determinism contract
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -232,9 +233,12 @@ class StreamIngestor:
             raise ConfigurationError(
                 f"bootstrap_size must be >= 1, got {bootstrap_size}"
             )
-        if watermark_years is not None and watermark_years <= 0:
+        if watermark_years is not None and not (
+            0 < watermark_years < math.inf
+        ):
             raise ConfigurationError(
-                f"watermark_years must be positive, got {watermark_years}"
+                "watermark_years must be finite and positive, "
+                f"got {watermark_years}"
             )
         if len(log) == 0:
             raise StreamError("cannot ingest an empty event log")

@@ -1,8 +1,9 @@
 """Strict validators for the deep-observability JSON documents.
 
 Test helper in the spirit of ``expfmt.py``: the gateway tests and the
-CI obs-deep smoke job feed live ``/v1/profile``, ``/v1/slo``, and
-``/v1/metrics/history`` responses through these, and any malformed
+CI obs-deep smoke job feed live ``/v1/metrics``, ``/v1/profile``,
+``/v1/slo``, and ``/v1/metrics/history`` responses through these, and
+any malformed
 field, broken invariant, or type drift raises :class:`ObsSchemaError`
 naming the offending path.  Strictness is the point — a 200 with JSON
 in it is not a schema.
@@ -308,3 +309,134 @@ def validate_history(document: Mapping[str, Any]) -> None:
                 or not math.isfinite(value)
             ):
                 _fail(f"{ppath}.series.{key}", f"bad value {value!r}")
+
+
+# ----------------------------------------------------------------------
+# /v1/metrics (format=json)
+# ----------------------------------------------------------------------
+_LATENCY_KEYS = {"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}
+
+
+def _counts(document: Mapping[str, Any], path: str, key: str) -> dict:
+    """A ``{label: non-negative int}`` object."""
+    counts = _want(document, path, key, (dict,))
+    for label, count in counts.items():
+        if not isinstance(label, str) or not label:
+            _fail(f"{path}.{key}", f"bad key {label!r}")
+        _want(counts, f"{path}.{key}", label, (int,))
+        if count < 0:
+            _fail(f"{path}.{key}.{label}", f"negative count {count}")
+    return counts
+
+
+def _latency(summary: Any, path: str) -> int:
+    """Validate one latency summary; returns its count."""
+    if not isinstance(summary, dict):
+        _fail(path, "not an object")
+    if set(summary) != _LATENCY_KEYS:
+        _fail(path, f"keys {sorted(summary)} != {sorted(_LATENCY_KEYS)}")
+    count = _want(summary, path, "count", (int,))
+    if count < 0:
+        _fail(f"{path}.count", f"negative count {count}")
+    values = {
+        key: _finite(
+            _want(summary, path, key, (int, float)), f"{path}.{key}"
+        )
+        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms")
+    }
+    if min(values.values()) < 0:
+        _fail(path, f"negative latency in {values}")
+    if not values["p50_ms"] <= values["p95_ms"] <= values["p99_ms"]:
+        _fail(path, f"quantiles out of order: {values}")
+    return count
+
+
+def validate_metrics(document: Mapping[str, Any]) -> None:
+    """Validate a ``/v1/metrics`` JSON document (single or fleet).
+
+    Beyond keys and types: every response is counted once by status
+    and timed once, so the ``by_status`` counts sum to the latency
+    count; each shed count equals its status entry; the endpoint
+    counts sum to their totals; and the batch-size distribution sums
+    to the number of batches.
+    """
+    path = "metrics"
+    requests = _want(document, path, "requests", (dict,))
+    started = _want(requests, f"{path}.requests", "started", (int,))
+    by_endpoint = _counts(requests, f"{path}.requests", "by_endpoint")
+    if sum(by_endpoint.values()) != started:
+        _fail(
+            f"{path}.requests.by_endpoint",
+            f"sums to {sum(by_endpoint.values())}, started says {started}",
+        )
+
+    rpath = f"{path}.responses"
+    responses = _want(document, path, "responses", (dict,))
+    by_status = _counts(responses, rpath, "by_status")
+    for status in by_status:
+        if not (status.isdigit() and len(status) == 3):
+            _fail(f"{rpath}.by_status", f"bad status {status!r}")
+    for status in ("429", "503"):
+        shed = _want(responses, rpath, f"shed_{status}", (int,))
+        if shed != by_status.get(status, 0):
+            _fail(
+                f"{rpath}.shed_{status}",
+                f"{shed} != by_status {by_status.get(status, 0)}",
+            )
+    errors = _want(responses, rpath, "errors_5xx", (int,))
+    if errors != sum(c for s, c in by_status.items() if int(s) >= 500):
+        _fail(f"{rpath}.errors_5xx", f"{errors} disagrees with by_status")
+
+    lpath = f"{path}.latency"
+    latency = _want(document, path, "latency", (dict,))
+    total = _latency(_want(latency, lpath, "overall", (dict,)),
+                     f"{lpath}.overall")
+    endpoints = _want(latency, lpath, "by_endpoint", (dict,))
+    endpoint_total = sum(
+        _latency(summary, f"{lpath}.by_endpoint.{endpoint}")
+        for endpoint, summary in endpoints.items()
+    )
+    if endpoint_total != total:
+        _fail(
+            f"{lpath}.by_endpoint",
+            f"counts sum to {endpoint_total}, overall says {total}",
+        )
+    if sum(by_status.values()) != total:
+        _fail(
+            f"{rpath}.by_status",
+            f"sums to {sum(by_status.values())} responses, "
+            f"latency timed {total}",
+        )
+
+    cpath = f"{path}.coalescing"
+    coalescing = _want(document, path, "coalescing", (dict,))
+    batches = _want(coalescing, cpath, "batches", (int,))
+    batched = _want(coalescing, cpath, "requests", (int,))
+    mean = _finite(
+        _want(coalescing, cpath, "mean_batch_size", (int, float)),
+        f"{cpath}.mean_batch_size",
+    )
+    if batches < 0 or batched < batches:
+        _fail(cpath, f"{batched} requests in {batches} batches")
+    expected_mean = batched / batches if batches else 0.0
+    if not math.isclose(mean, expected_mean, rel_tol=1e-9):
+        _fail(f"{cpath}.mean_batch_size", f"{mean} != {expected_mean}")
+    distribution = _counts(coalescing, cpath, "distribution")
+    if sum(distribution.values()) != batches:
+        _fail(
+            f"{cpath}.distribution",
+            f"sums to {sum(distribution.values())}, batches says {batches}",
+        )
+
+    updates = _want(document, path, "stream_updates", (dict,))
+    applied = _want(updates, f"{path}.stream_updates", "applied", (int,))
+    if applied < 0:
+        _fail(f"{path}.stream_updates.applied", "negative")
+    # The served document adds admission state next to the rendered
+    # families; a bare metrics_document() has none.
+    if "admission" in document:
+        admission = _want(document, path, "admission", (dict,))
+        for key in ("active", "peak_active", "admitted_total"):
+            if _want(admission, f"{path}.admission", key, (int,)) < 0:
+                _fail(f"{path}.admission.{key}", "negative")
+        _want(admission, f"{path}.admission", "draining", (bool,))

@@ -11,11 +11,19 @@ profile (see conftest.py).
 
 from __future__ import annotations
 
+import json
+import math
+from bisect import bisect_left
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from obsschema import validate_profile, validate_slo
+from obsschema import validate_metrics, validate_profile, validate_slo
+from repro.gateway import RequestInstruments, metrics_document
 from repro.obs.profile import merge_profile_states, render_profile
 from repro.obs.registry import (
+    Histogram,
     MetricsRegistry,
     families_state,
     merge_family_states,
@@ -147,6 +155,118 @@ class TestHistogramMerge:
         key_500 = ("unit_responses_total", "", (("status", "500"),))
         assert merged[key_200] == sum(g for g, _ in per_worker)
         assert merged[key_500] == sum(b for _, b in per_worker)
+
+
+_request = st.tuples(
+    st.integers(0, 3),  # worker, modulo the fleet size
+    st.sampled_from(("top", "paper", "compare", "metrics")),
+    st.sampled_from((200, 400, 404, 429, 500, 503)),
+    st.one_of(  # latency in seconds, some past the last bound (30 s)
+        st.floats(min_value=0.0, max_value=2.0, width=32),
+        st.floats(min_value=29.0, max_value=120.0, width=32),
+    ),
+)
+
+
+def _batch_label(size: int) -> str:
+    """A batch size's distribution label, by the power-of-two rule."""
+    bucket = 0 if size <= 1 else min((size - 1).bit_length(), 11)
+    if bucket == 11:
+        return ">1024"
+    low, high = (1 << (bucket - 1)) + 1 if bucket else 1, 1 << bucket
+    return str(high) if low == high else f"{low}-{high}"
+
+
+def _pop_means(document):
+    """Remove and return every ``mean_ms`` (float sums: order varies)."""
+    latency = document["latency"]
+    summaries = {"": latency["overall"], **latency["by_endpoint"]}
+    return {key: summary.pop("mean_ms") for key, summary in summaries.items()}
+
+
+class TestFleetMetricsDocument:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        workers=st.integers(1, 4),
+        requests=st.lists(_request, max_size=60),
+        batches=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 2000)), max_size=20
+        ),
+        updates=st.lists(st.integers(0, 3), max_size=5),
+    )
+    def test_fleet_document_equals_single_registry(
+        self, workers, requests, batches, updates
+    ):
+        registries = [MetricsRegistry() for _ in range(workers)]
+        fleet = [RequestInstruments.register(r) for r in registries]
+        single_registry = MetricsRegistry()
+        single = RequestInstruments.register(single_registry)
+        for worker, endpoint, status, seconds in requests:
+            for instruments in (fleet[worker % workers], single):
+                instruments.requests.inc(endpoint=endpoint)
+                instruments.responses.inc(status=str(status))
+                if status in (429, 503):
+                    instruments.shed.inc(status=str(status))
+                instruments.latency.observe(seconds, endpoint=endpoint)
+        for worker, size in batches:
+            for instruments in (fleet[worker % workers], single):
+                instruments.batch_sizes.observe(size)
+        for worker in updates:
+            for instruments in (fleet[worker % workers], single):
+                instruments.updates.inc()
+
+        # What the supervisor does: merge the JSON wire states.
+        states = [
+            json.loads(json.dumps(families_state(registry.collect())))
+            for registry in registries
+        ]
+        merged = metrics_document(merge_family_states(states))
+        expected = metrics_document(single_registry.collect())
+        validate_metrics(merged)
+        validate_metrics(expected)
+        merged_means, expected_means = _pop_means(merged), _pop_means(
+            expected
+        )
+        assert merged == expected  # counts, quantiles, distribution
+        assert merged_means.keys() == expected_means.keys()
+        for key, mean in expected_means.items():
+            assert merged_means[key] == pytest.approx(mean, rel=1e-9)
+
+        # Independent tallies of what was recorded.
+        endpoints = Counter(endpoint for _, endpoint, _, _ in requests)
+        statuses = Counter(str(status) for _, _, status, _ in requests)
+        assert merged["requests"]["by_endpoint"] == dict(endpoints)
+        assert merged["responses"]["by_status"] == dict(statuses)
+        assert merged["responses"]["shed_429"] == statuses["429"]
+        assert merged["responses"]["shed_503"] == statuses["503"]
+        assert merged["responses"]["errors_5xx"] == (
+            statuses["500"] + statuses["503"]
+        )
+        assert merged["latency"]["overall"]["count"] == len(requests)
+        assert {
+            endpoint: summary["count"]
+            for endpoint, summary in merged["latency"]["by_endpoint"].items()
+        } == dict(endpoints)
+        assert merged["coalescing"]["batches"] == len(batches)
+        assert merged["coalescing"]["requests"] == sum(s for _, s in batches)
+        assert merged["coalescing"]["distribution"] == dict(
+            Counter(_batch_label(size) for _, size in batches)
+        )
+        assert merged["stream_updates"]["applied"] == len(updates)
+
+        # Each quantile lies in the bucket of the nearest-rank quantile
+        # of the raw latencies (the overflow bucket reports 30 s).
+        latencies = sorted(seconds for *_, seconds in requests)
+        bounds = Histogram.DEFAULT_BOUNDS
+        for name, q in (("p50_ms", 0.5), ("p95_ms", 0.95), ("p99_ms", 0.99)):
+            if not latencies:
+                break
+            true = latencies[math.ceil(q * len(latencies)) - 1]
+            position = bisect_left(bounds, true)
+            lower = bounds[position - 1] if position else 0.0
+            upper = bounds[min(position, len(bounds) - 1)]
+            reported = merged["latency"]["overall"][name] / 1000.0
+            assert lower * (1 - 1e-12) <= reported <= upper * (1 + 1e-12)
 
 
 class TestSLOFleetEquivalence:

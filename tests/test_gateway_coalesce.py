@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError, GatewayError, GraphError
-from repro.gateway import GatewayMetrics, RequestCoalescer
+from repro.gateway import RequestCoalescer
+from repro.obs.registry import Histogram
 from repro.serve import (
     CompareQuery,
     PaperQuery,
@@ -49,7 +50,7 @@ class TestCoalescing:
 
     def test_concurrent_submits_form_batches(self):
         service = _make_service()
-        metrics = GatewayMetrics()
+        batch_sizes = Histogram("t_batch_size", "help", bounds=(1.0,))
         queries = [
             TopKQuery(method="CC", k=3),
             TopKQuery(method="PR", k=2),
@@ -58,7 +59,7 @@ class TestCoalescing:
         ] * 4
 
         async def main():
-            coalescer = RequestCoalescer(service, metrics=metrics)
+            coalescer = RequestCoalescer(service, batch_sizes=batch_sizes)
             try:
                 return await asyncio.gather(
                     *(coalescer.submit(query) for query in queries)
@@ -76,8 +77,8 @@ class TestCoalescing:
         assert outcomes[3][1] == service.compare(("CC", "PR"), k=4)
         # ...and the 16 concurrent submits coalesced into fewer
         # engine batches (the first drain takes 1, the rest pile up).
-        assert metrics.batch_sizes.batches < len(queries)
-        assert metrics.batch_sizes.requests == len(queries)
+        assert batch_sizes.snapshot()["count"] < len(queries)
+        assert batch_sizes.snapshot()["sum"] == len(queries)
 
     def test_per_query_error_attribution(self):
         service = _make_service()

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from expfmt import parse_exposition
+from obsschema import validate_metrics
 from repro.gateway import GatewayConfig, GatewayServer, GatewayThread
 from repro.obs.logging import configure_logging, reset_logging
 from repro.obs.trace import disable_tracing, enable_tracing
@@ -129,8 +130,12 @@ class TestRoutesAndErrors:
 
         status, metrics = out["metrics"]
         assert status == 200
+        validate_metrics(metrics)
         assert metrics["requests"]["started"] >= 8
         assert metrics["latency"]["overall"]["count"] >= 7
+        assert metrics["responses"]["by_status"] == {
+            "200": 4, "400": 2, "404": 2,
+        }
         assert "result_cache" in metrics
         assert metrics["admission"]["active"] == 0
 
@@ -309,7 +314,7 @@ class TestLiveUpdates:
         # The envelope version always matches the page's own stamp.
         for doc in responses:
             assert doc["result"]["version"] == doc["version"]
-        assert server.metrics.updates_applied > 0
+        assert server.metrics_document()["stream_updates"]["applied"] > 0
         # The final version's pages match a direct call now.
         final = max(versions)
         if service.version == final:
@@ -364,7 +369,9 @@ class TestLoadShedding:
         assert all(
             doc["error"]["reason"] == "queue-full" for doc in shed
         )
-        assert server.metrics.shed_503 == len(shed)
+        document = server.metrics_document()
+        validate_metrics(document)
+        assert document["responses"]["shed_503"] == len(shed)
 
     def test_backend_breakage_answers_500_without_leaking_slots(
         self, monkeypatch
@@ -724,7 +731,9 @@ class TestObservability:
         status, headers, body = asyncio.run(main())
         assert status == 200
         assert headers["content-type"] == "application/json"
-        assert "requests" in json.loads(body)
+        document = json.loads(body)
+        validate_metrics(document)
+        assert "max_ms" not in document["latency"]["overall"]
 
     def test_trace_endpoint_serves_the_span_tree(self):
         service = _make_service()

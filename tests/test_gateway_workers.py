@@ -16,6 +16,7 @@ import urllib.request
 
 import pytest
 
+from obsschema import validate_metrics
 from repro.errors import GatewayError
 from repro.gateway import GatewayConfig, MultiWorkerGateway
 from repro.gateway.workers import worker_ports
@@ -75,6 +76,21 @@ class TestFleetServing:
             for _ in range(6):
                 _get(gateway.port, "/v1/top?method=PR&k=3")
             fleet = gateway.aggregate_metrics()
+            # The public endpoint answers the same fleet document from
+            # whichever worker takes the connection; ?scope=local asks
+            # that worker alone.
+            status, served = _get(gateway.port, "/v1/metrics")
+            status_local, local = _get(
+                gateway.port, "/v1/metrics?scope=local"
+            )
+        validate_metrics(fleet)
+        validate_metrics(served)
+        validate_metrics(local)
+        assert status == status_local == 200
+        assert served["workers"]["count"] == 2
+        assert served["requests"]["by_endpoint"]["top"] == 6
+        assert "workers" not in local
+        assert local["requests"]["by_endpoint"].get("top", 0) <= 6
         assert fleet["workers"]["count"] == 2
         assert fleet["workers"]["restarts"] == 0
         assert fleet["requests"]["started"] >= 6

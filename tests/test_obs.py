@@ -177,6 +177,54 @@ def test_histogram_empty_snapshot():
     assert hist.quantile(0.5) == 0.0
 
 
+def test_histogram_interpolated_p50_on_default_bounds():
+    # Uniform 1..937 ms: the true median is ~469 ms.  The bucket's
+    # upper bound would say 500 ms (+6.6%); interpolation within the
+    # bucket stays inside 2% and below that bound.
+    hist = Histogram("t_seconds", "help")
+    for ms in range(1, 938):
+        hist.observe(ms / 1000.0)
+    p50 = hist.quantile(0.5)
+    assert abs(p50 - 0.469) / 0.469 < 0.02
+    assert p50 < 0.5
+
+
+def test_histogram_overflow_reports_max_and_caps_quantiles():
+    hist = Histogram("t_seconds", "help")
+    hist.observe(0.0021)
+    assert hist.quantile(0.99) <= 0.0021  # capped by the slowest one
+    hist.observe(120.0)  # past the last bound (30 s)
+    assert hist.quantile(0.99) == 120.0
+    assert all(hist.quantile(q) <= 120.0 for q in (0.1, 0.5, 0.95, 1.0))
+
+
+def test_histogram_cumulative_export_ends_at_inf():
+    hist = Histogram("t_seconds", "help")
+    for seconds in (0.002, 0.004, 120.0):
+        hist.observe(seconds)
+    samples = hist.collect().samples
+    buckets = [s for s in samples if s.suffix == "_bucket"]
+    assert buckets[-1].labels == (("le", "+Inf"),)
+    assert buckets[-1].value == 3
+    assert [s.value for s in buckets] == sorted(s.value for s in buckets)
+    assert len(buckets) == len(Histogram.DEFAULT_BOUNDS) + 1
+
+
+def test_histogram_declare_exports_zero_buckets():
+    hist = Histogram("t_size", "help", bounds=(1.0, 2.0))
+    assert hist.collect().samples == ()
+    hist.declare()
+    assert [s.value for s in hist.collect().samples] == [0.0] * 5
+    assert hist.snapshot()["count"] == 0
+
+
+def test_repeated_label_names_rejected():
+    # A keyword cannot repeat, so such an instrument could never record.
+    for cls in (Counter, Gauge, Histogram):
+        with pytest.raises(ConfigurationError, match="repeated"):
+            cls("t_total", "help", ["shard", "shard"])
+
+
 def test_histogram_labelled_series_isolated():
     hist = Histogram("t_seconds", "help", ["shard"], bounds=(1.0, 2.0))
     hist.observe(0.5, shard="0")

@@ -68,6 +68,23 @@ class TestSpecParsing:
         with pytest.raises(ConfigurationError):
             parse_slo(spec)
 
+    @pytest.mark.parametrize(
+        "threshold, accepted",
+        [("nan", False), ("inf", False), ("60", False), ("-1", False),
+         ("30", True)],
+    )
+    def test_latency_threshold_must_be_checkable(self, threshold, accepted):
+        # Good requests are counted at the first latency bucket bound at
+        # or above the threshold; past the last finite bound (30 s) no
+        # bound qualifies, every request would count as bad, and the
+        # objective would page forever on healthy traffic.
+        spec = f"latency:99:{threshold}"
+        if accepted:
+            assert parse_slo(spec).threshold == float(threshold)
+        else:
+            with pytest.raises(ConfigurationError, match="threshold"):
+                parse_slo(spec)
+
     def test_slo_validation(self):
         with pytest.raises(ConfigurationError, match="kind"):
             SLO(name="x", kind="throughput", objective=0.9)

@@ -187,6 +187,14 @@ class TestHostileManifest:
             pytest.param(b"[" * 100_000, id="deep-nesting"),
             pytest.param(_manifest(offset=True), id="boolean-offset"),
             pytest.param(_manifest(batch_size=64.0), id="float-batch-size"),
+            # json.dumps writes the non-standard tokens NaN and Infinity.
+            pytest.param(
+                _manifest(watermark_years=float("nan")), id="nan-watermark"
+            ),
+            pytest.param(
+                _manifest(watermark_years=float("inf")),
+                id="infinite-watermark",
+            ),
         ],
     )
     def test_typed_error_names_the_file(self, tmp_path, body):

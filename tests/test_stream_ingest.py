@@ -97,8 +97,9 @@ class TestBatching:
             StreamIngestor(hepth_log, ("CC",), batch_size=0)
         with pytest.raises(ConfigurationError, match="bootstrap_size"):
             StreamIngestor(hepth_log, ("CC",), bootstrap_size=0)
-        with pytest.raises(ConfigurationError, match="watermark"):
-            StreamIngestor(hepth_log, ("CC",), watermark_years=0.0)
+        for watermark in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="watermark"):
+                StreamIngestor(hepth_log, ("CC",), watermark_years=watermark)
         with pytest.raises(ConfigurationError, match="method"):
             StreamIngestor(hepth_log, ())
         with pytest.raises(StreamError, match="empty"):
