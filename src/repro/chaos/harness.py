@@ -461,8 +461,8 @@ def run_gateway_scenario(
         "drained_port_refuses": refused_after_drain,
     }
     if spec.point == "gateway.update.step":
-        # The injected kill lands inside the coalescer lock; the drain
-        # must contain it rather than re-raise it into stop().
+        # The injected kill lands in the updater's executor thread; the
+        # drain must contain it rather than re-raise it into stop().
         report.invariants["updater_crash_contained"] = isinstance(
             server.updater_error, InjectedCrash
         )

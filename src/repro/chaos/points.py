@@ -207,8 +207,9 @@ FAULT_POINTS: tuple[FaultPoint, ...] = (
         module="repro.serve.shard",
         description=(
             "crash after the new shard generation is assembled but "
-            "before the StoreSnapshot swap — index and store versions "
-            "diverge until the next read recovers"
+            "before the StoreSnapshot swap — readers stay on the last "
+            "published version until the next write's sync publishes "
+            "everything the index holds"
         ),
         kinds=("crash",),
         scenario="checkpoint",
@@ -240,9 +241,9 @@ FAULT_POINTS: tuple[FaultPoint, ...] = (
         name="gateway.update.step",
         module="repro.gateway.updates",
         description=(
-            "updater killed mid-micro-batch while holding the "
-            "coalescer lock — reads must keep serving one untorn "
-            "version"
+            "updater killed mid-micro-batch in its executor thread "
+            "while reads are answered — every read must still see one "
+            "untorn published version"
         ),
         kinds=("crash",),
         scenario="gateway",

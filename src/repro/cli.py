@@ -1233,7 +1233,7 @@ def _command_query(args: argparse.Namespace) -> int:
         # coalescer): a broken query gets a typed JSON error object in
         # its slot while every healthy one still gets its result.
         _, outcomes = execute_with_attribution(
-            engine.execute_versioned, queries
+            engine.execute_versioned, queries, engine.sharded
         )
         failures = 0
         payloads = []

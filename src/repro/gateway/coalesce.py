@@ -25,8 +25,8 @@ than one batch takes, the worker yields to the loop between batches,
 so each batch's responses are written before the next batch runs.
 Only the stream updater's micro-batches
 (:meth:`RequestCoalescer.exclusively`), each a re-solve of the index,
-still run in the default executor, so the loop keeps parsing and
-admitting requests while one applies.
+run in the default executor, and reads keep being answered while one
+applies.
 
 Correctness guarantees:
 
@@ -35,15 +35,16 @@ Correctness guarantees:
   :class:`~repro.serve.RankingService` call — the PR-3 equivalence
   property carries over unchanged, and every response is stamped with
   the index version it was computed at.
-* **No torn reads during live updates.**  The coalescer owns an
-  :class:`asyncio.Lock` that serialises engine batches with stream
-  updates (:meth:`exclusively` is how the updater applies micro-batches).
-  A batch therefore executes entirely before or entirely after any
-  version swap.
+* **No torn reads during live updates.**  Each batch pins the
+  published :class:`~repro.serve.StoreSnapshot` once, and the updater
+  publishes a version as one snapshot swap, so a batch is answered
+  entirely at the version before a swap or entirely at the one after
+  it, whatever the updater is doing meanwhile.
 * **Per-query failure attribution.**  A batch that fails to plan
   (unknown method, bad page, unknown paper id) is retried query by
-  query, so one bad request gets its typed error while the rest of the
-  batch is served normally.
+  query, every retry on one pinned snapshot, so one bad request gets
+  its typed error while the rest of the batch is served normally, all
+  at the version the batch is stamped with.
 """
 
 from __future__ import annotations
@@ -126,7 +127,6 @@ class RequestCoalescer:
             tuple[Query, asyncio.Future, contextvars.Context, str | None]
         ] = []
         self._wakeup = asyncio.Event()
-        self._lock = asyncio.Lock()
         self._worker: asyncio.Task | None = None
         self._closed = False
 
@@ -195,20 +195,19 @@ class RequestCoalescer:
         return await future
 
     async def exclusively(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` in the executor while no batch is executing.
+        """Run ``fn`` in the default executor, off the event loop.
 
-        The stream updater applies index micro-batches through here:
-        holding the batch lock across the update makes the version
-        swap atomic with respect to every coalesced read.  The caller's
-        context rides along explicitly (``run_in_executor`` would not
-        carry it), so the updater's trace and request id survive the
-        thread hop.
+        The stream updater applies index micro-batches through here,
+        and reads keep being answered while one runs: a write publishes
+        its version as one snapshot swap, and every batch pins one
+        snapshot.  The caller's context rides along explicitly
+        (``run_in_executor`` would not carry it), so the updater's
+        trace and request id survive the thread hop.
         """
         ctx = contextvars.copy_context()
-        async with self._lock:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, ctx.run, fn
-            )
+        return await asyncio.get_running_loop().run_in_executor(
+            None, ctx.run, fn
+        )
 
     # ------------------------------------------------------------------
     # The drain worker
@@ -233,10 +232,9 @@ class RequestCoalescer:
             leader_ctx = batch[0][2]
             request_ids = [rid for _, _, _, rid in batch if rid]
             try:
-                async with self._lock:
-                    version, outcomes = leader_ctx.run(
-                        self._execute_traced, queries, request_ids
-                    )
+                version, outcomes = leader_ctx.run(
+                    self._execute_traced, queries, request_ids
+                )
             except Exception as error:  # backend breakage
                 for _, future, _, _ in batch:
                     if not future.done():
@@ -252,55 +250,40 @@ class RequestCoalescer:
                     else:
                         future.set_result((version, outcome))
             if self._pending:
-                # Neither the inline batch nor an uncontended lock
-                # suspends, so a backlog beyond max_batch would run
-                # batch after batch with the loop stalled.  Yield once:
-                # this batch's submitters write their responses before
-                # the next batch executes.
+                # The inline batch does not suspend, so a backlog
+                # beyond max_batch would run batch after batch with the
+                # loop stalled.  Yield once: this batch's submitters
+                # write their responses before the next batch executes.
                 await asyncio.sleep(0)
 
     def _backend_execute(
         self, queries: Sequence[Query]
-    ) -> tuple[int, tuple[Any, ...]]:
-        if isinstance(self._backend, RankingService):
-            return self._backend.execute_batch(queries)
-        return self._backend.execute_versioned(queries)
+    ) -> tuple[int, list[Any]]:
+        """One batch on one pinned snapshot, failures attributed per query."""
+        backend = self._backend
+        execute = (
+            backend.execute_batch
+            if isinstance(backend, RankingService)
+            else backend.execute_versioned
+        )
+        return execute_with_attribution(execute, queries, backend.sharded)
 
     def _execute_traced(
         self, queries: Sequence[Query], request_ids: Sequence[str]
     ) -> tuple[int, list[Any]]:
         """The worker's entry point: one traced engine batch.
 
-        Runs under the leader's copied context, so the ``engine.batch``
-        span (annotated with every coalesced request id) lands in the
-        leading request's trace.
+        Runs on the event loop's thread under the leader's copied
+        context, so the ``engine.batch`` span (annotated with every
+        coalesced request id) lands in the leading request's trace.
         """
         with profile_phase("engine.batch"), span(
             "engine.batch",
             batch_size=len(queries),
             request_ids=list(request_ids),
         ) as sp:
-            version, outcomes = self._execute(queries)
+            chaos_point("gateway.batch.execute")
+            version, outcomes = self._backend_execute(queries)
             if sp is not None:
                 sp.set(version=version)
-        return version, outcomes
-
-    def _execute(
-        self, queries: Sequence[Query]
-    ) -> tuple[int, list[Any]]:
-        """One engine batch; on failure, per-query error attribution.
-
-        Runs on the event loop's thread, always under ``self._lock`` —
-        so no stream update (which runs on an executor thread, under
-        the same lock) touches the serving state meanwhile, and the
-        fallback's one-element batches all see the same version as
-        each other.
-        """
-        chaos_point("gateway.batch.execute")
-        version, outcomes = execute_with_attribution(
-            self._backend_execute, queries
-        )
-        if version < 0:
-            # Every query failed; stamp the current state anyway.
-            version = self._backend.version
         return version, outcomes

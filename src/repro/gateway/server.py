@@ -739,17 +739,12 @@ class GatewayServer:
             return 500, _error_payload(type(error).__name__, str(error))
 
     def _healthz_payload(self) -> dict[str, Any]:
-        backend = self.backend
-        if isinstance(backend, RankingService):
-            version = backend.version
-            papers = backend.index.network.n_papers
-        else:
-            version = backend.version
-            papers = backend.sharded.n_papers
+        # One pin, so the version and the paper count agree.
+        published = self.backend.sharded.snapshot()
         return {
             "status": "draining" if self.admission.draining else "ok",
-            "version": version,
-            "papers": papers,
+            "version": published.version,
+            "papers": published.n_papers,
             "live_updates": self.updater is not None,
         }
 

@@ -3,23 +3,24 @@
 The paper's premise — rank by *current* short-term impact — only holds
 if the serving index tracks the citation stream while queries keep
 flowing.  :class:`StreamUpdater` is the background task that does this:
-it drives a :class:`~repro.stream.StreamIngestor` (the PR-4 replay
-engine) one micro-batch at a time, each application wrapped in the
-coalescer's batch lock via
-:meth:`~repro.gateway.RequestCoalescer.exclusively`.
+it drives a :class:`~repro.stream.StreamIngestor` (the replay engine)
+one micro-batch at a time, each step run in the default executor via
+:meth:`~repro.gateway.RequestCoalescer.exclusively`, so the event loop
+keeps answering reads meanwhile.
 
-That single lock is the whole consistency story:
+One publication rule is the whole consistency story:
 
-* while a batch of coalesced reads executes, the updater waits — no
-  read ever observes a half-applied delta;
-* while a micro-batch applies (extend + warm re-solve + shard sync +
-  cache invalidation, all inside
-  :meth:`~repro.serve.RankingService.update`), reads wait — and the new
-  generation becomes visible as ONE
-  :class:`~repro.serve.StoreSnapshot` swap, so the first read after
-  the update sees the complete new version;
-* between batches the updater yields (``interval`` seconds), which is
-  where queued traffic drains.
+* a step (extend + warm re-solve + shard sync + cache invalidation,
+  all inside :meth:`~repro.serve.RankingService.update`) builds the
+  new version off to the side and publishes it as ONE
+  :class:`~repro.serve.StoreSnapshot` swap;
+* every coalesced read batch pins one published snapshot, so it is
+  answered entirely at the version before a swap or entirely at the
+  one after it — never a half-applied delta;
+* a step killed before its swap publishes nothing, and reads carry on
+  at the last published version.
+
+Between steps the updater sleeps ``interval`` seconds.
 
 Because the ingestor's replay is deterministic, a verification replica
 replaying the same log with the same policy passes through
@@ -58,10 +59,11 @@ class StreamUpdater:
         *different* index than the one being served would be a silent
         split-brain, so the constructor refuses it.
     coalescer:
-        The read path to serialise against.
+        The read path being served; steps hop to the executor through
+        it.
     interval:
-        Seconds to sleep between micro-batches (lets reads drain; 0
-        yields to the event loop once per batch).
+        Seconds to sleep between micro-batches (0 yields to the event
+        loop once per batch).
     max_batches:
         Stop after this many batches (``None`` = run the log dry).
     updates:
@@ -112,11 +114,12 @@ class StreamUpdater:
         self._stopping = True
 
     def _step(self) -> BatchReport:
-        """One micro-batch, already inside the coalescer lock.
+        """One micro-batch, in the executor thread.
 
-        The fault point fires *here* — in the executor thread, lock
-        held — because that is where a killed updater is most hostile:
-        the next coalesced read must still see one untorn version.
+        The fault point fires *here*, while reads are being answered on
+        the loop, because that is where a killed updater is most
+        hostile: every coalesced read must still see one untorn
+        version.
         """
         chaos_point("gateway.update.step")
         return self._ingestor.step()
@@ -126,8 +129,7 @@ class StreamUpdater:
 
         Returns the number of batches applied by this call.  Intended
         to run as a background task next to the server; cancellation
-        between batches is safe (the lock is never held across the
-        sleep).
+        between batches is safe.
         """
         applied = 0
         while not self._ingestor.exhausted and not self._stopping:

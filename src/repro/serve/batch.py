@@ -82,8 +82,9 @@ _SHARD_SECONDS = REGISTRY.histogram(
 
 
 def execute_with_attribution(
-    execute_versioned: "Callable[[Sequence[Query]], tuple[int, tuple[Any, ...]]]",
+    execute: "Callable[..., tuple[int, tuple[Any, ...]]]",
     queries: Sequence[Query],
+    store: Any,
 ) -> tuple[int, list[Any]]:
     """Run a batch; attribute a failure to its query, not the batch.
 
@@ -96,25 +97,28 @@ def execute_with_attribution(
     typed error that query raised.  The shared helper keeps the two
     surfaces' semantics identical by construction.
 
-    ``execute_versioned`` is any ``queries -> (version, results)``
-    callable (:meth:`QueryEngine.execute_versioned`,
-    :meth:`~repro.serve.RankingService.execute_batch`).  Returns
-    ``(version, outcomes)``; the version is ``-1`` when every query
-    failed (no serving state was consulted).
+    ``execute`` is :meth:`QueryEngine.execute_versioned` or
+    :meth:`~repro.serve.RankingService.execute_batch`; a whole batch
+    pins its own snapshot.  The retries pin ``store.snapshot()`` once
+    and all run on that snapshot (``execute([query], snapshot=...)``),
+    so every result carries the returned version even when the store
+    publishes between them — as a fleet worker's
+    :class:`~repro.serve.shm.SharedStoreReader` does whenever the
+    supervisor publishes.  Returns ``(version, outcomes)``.
     """
     try:
-        version, results = execute_versioned(queries)
+        version, results = execute(queries)
         return version, list(results)
     except ReproError:
+        pinned = store.snapshot()
         outcomes: list[Any] = []
-        version = -1
         for query in queries:
             try:
-                version, (result,) = execute_versioned([query])
+                _, (result,) = execute([query], snapshot=pinned)
                 outcomes.append(result)
             except ReproError as error:
                 outcomes.append(error)
-        return version, outcomes
+        return pinned.version, outcomes
 
 
 @dataclass(frozen=True)
@@ -274,14 +278,18 @@ class QueryEngine:
         return self.execute_versioned(queries)[1]
 
     def execute_versioned(
-        self, queries: Sequence[Query]
+        self,
+        queries: Sequence[Query],
+        *,
+        snapshot: StoreSnapshot | None = None,
     ) -> tuple[int, tuple[Any, ...]]:
         """Run a batch against ONE generation; return its version too.
 
         The whole batch — planning, shard phase, merges — executes
-        against a single :class:`~repro.serve.StoreSnapshot` captured
-        up front, so a concurrent :meth:`ShardedScoreIndex.sync` can
-        never tear a batch across two index versions: every result is
+        against a single :class:`~repro.serve.StoreSnapshot`: the
+        given ``snapshot``, or the store's current one captured up
+        front.  A concurrent :meth:`ShardedScoreIndex.sync` can never
+        tear a batch across two index versions: every result is
         bit-identical to a single-version execution at the returned
         version.  The gateway stamps its HTTP responses with exactly
         this number.
@@ -289,7 +297,9 @@ class QueryEngine:
         with trace_span(
             "engine.execute", queries=len(queries)
         ) as sp:
-            snap = self._sharded.snapshot()
+            snap = (
+                snapshot if snapshot is not None else self._sharded.snapshot()
+            )
             plan = self._plan(queries, snap)
             shard_results = self._run_shard_phase(plan, snap)
             # Merged global orders are shared across the batch: twelve
@@ -627,22 +637,6 @@ class QueryEngine:
     def paper(self, paper_id: str) -> PaperDetails:
         """Scores and global ranks of one paper across all methods."""
         return self.execute([PaperQuery(paper_id=str(paper_id))])[0]
-
-    # ------------------------------------------------------------------
-    # Compatibility with the unsharded service internals
-    # ------------------------------------------------------------------
-    def warm_methods(self) -> tuple[str, ...]:
-        """Labels whose unfiltered order is memoised in *every* loaded
-        shard — i.e. rankings served since the last version change."""
-        snap = self._sharded.snapshot()
-        loaded = snap.loaded_shards()
-        warm = []
-        for label in snap.labels:
-            if loaded and all(
-                (label, None) in shard._orders for shard in loaded
-            ):
-                warm.append(label)
-        return tuple(warm)
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,21 @@ lists) dominate traffic.  The cache is deliberately dependency-free: an
 ordered dict with move-to-front on hit, bounded size, and counters that
 the service surfaces for observability.
 
-Keys include the score-index *version*, so a delta update never serves
-stale rankings: entries written against an older version simply stop
-being requested and age out (the service additionally clears the cache
-on update to release the memory immediately).
+The service keys entries on the version and method labels of the
+published snapshot they were computed on, so a delta update never
+serves stale rankings: entries written against an older publication
+simply stop being requested and age out (the service additionally
+clears the cache when it publishes, to release the memory
+immediately).
+
+The gateway reads the cache on its event loop while the stream updater
+clears it from an executor thread, so every operation holds the
+cache's lock: a lookup never sees a half-done clear or eviction.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -43,10 +50,8 @@ class CacheStats:
     size, maxsize:
         Current and maximum entry counts.
 
-    All counters are plain integers bumped inline (no locks): the
-    gateway's ``/v1/metrics`` endpoint and the bench reports read them
-    concurrently with lookups, and an occasionally-stale snapshot is
-    fine where a lock on the query hot path would not be.
+    A snapshot is taken under the cache's lock, so the counters are
+    consistent with each other and with ``size``.
     """
 
     hits: int
@@ -103,6 +108,7 @@ class LRUCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -112,35 +118,39 @@ class LRUCache:
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value, refreshing its recency; count the miss."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self._misses += 1
-            return default
-        self._hits += 1
-        self._entries.move_to_end(key)
-        return value
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                self._misses += 1
+                return default
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the oldest when full."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        if len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-            self._evictions += 1
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
+            if len(self._entries) > self._maxsize:
+                self._entries.popitem(last=False)
+                self._evictions += 1
 
     def clear(self) -> None:
         """Drop every entry; counts one invalidation (counters survive)."""
-        self._entries.clear()
-        self._invalidations += 1
+        with self._lock:
+            self._entries.clear()
+            self._invalidations += 1
 
     def stats(self) -> CacheStats:
         """A snapshot of the hit/miss/eviction/invalidation counters."""
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            invalidations=self._invalidations,
-            size=len(self._entries),
-            maxsize=self._maxsize,
-        )
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                invalidations=self._invalidations,
+                size=len(self._entries),
+                maxsize=self._maxsize,
+            )

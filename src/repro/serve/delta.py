@@ -285,8 +285,9 @@ class DeltaUpdater:
         """Extend the snapshot, re-solve all methods, bump the version.
 
         With an attached shard store, the new papers are then routed to
-        their shards (:meth:`ShardedScoreIndex.sync`) so the serving
-        layer never reads stale slices.
+        their shards and the new version is published, as one snapshot
+        swap (:meth:`ShardedScoreIndex.sync`); readers see the update
+        from that swap on.
         """
         started = time.perf_counter()
         before = self._index.network

@@ -5,7 +5,8 @@ snapshot to the score vectors of any number of registered ranking
 methods (addressed by their paper labels: ``"AR"``, ``"PR"``, ...).  It
 is the unit of state the serving layer works with:
 
-* :class:`~repro.serve.RankingService` answers queries from it,
+* :class:`~repro.serve.RankingService` publishes it to a shard store
+  and answers queries from there,
 * :class:`~repro.serve.DeltaUpdater` refreshes it in place after a
   delta, warm-starting every method that supports it from its previous
   solution,
@@ -55,11 +56,6 @@ _SOLVES_TOTAL = REGISTRY.counter(
     "repro_solver_solves_total",
     "Method solves, by method label and convergence outcome.",
     ["method", "converged"],
-)
-_SOLVE_SECONDS = REGISTRY.histogram(
-    "repro_solver_solve_seconds",
-    "Wall-clock seconds per method solve.",
-    ["method"],
 )
 _LAST_ITERATIONS = REGISTRY.gauge(
     "repro_solver_last_iterations",
@@ -221,7 +217,6 @@ class ScoreIndex:
         network: CitationNetwork | None = None,
         *,
         warm: bool = True,
-        fused: bool = True,
     ) -> dict[str, MethodEntry]:
         """Re-solve every indexed method and bump the version.
 
@@ -240,12 +235,6 @@ class ScoreIndex:
             Seed each method that supports it from its previous
             solution, grown to the new size.  ``False`` forces cold
             solves (the benchmark's comparison baseline).
-        fused:
-            Solve all fusable methods in one stacked pass
-            (:func:`repro.core.fused.solve_methods`) instead of one at a
-            time.  The scores are bit-identical either way; ``False``
-            keeps the serial per-method loop as the benchmark's
-            comparison baseline.
 
         Notes
         -----
@@ -265,27 +254,13 @@ class ScoreIndex:
                     " paper ids, in order (the index only grows)"
                 )
             target = network
-        if fused:
-            refreshed = self._solve_fused(
-                {
-                    key: (
-                        dict(entry.params),
-                        entry.scores if warm else None,
-                    )
-                    for key, entry in self._entries.items()
-                },
-                target,
-            )
-        else:
-            refreshed = {
-                key: self._solve(
-                    key,
-                    dict(entry.params),
-                    previous=entry.scores if warm else None,
-                    network=target,
-                )
+        refreshed = self._solve_fused(
+            {
+                key: (dict(entry.params), entry.scores if warm else None)
                 for key, entry in self._entries.items()
-            }
+            },
+            target,
+        )
         chaos_point("index.refresh.swap")
         self._network = target
         self._entries = refreshed
@@ -297,13 +272,13 @@ class ScoreIndex:
         specs: Mapping[str, tuple[dict[str, Any], FloatVector | None]],
         network: CitationNetwork,
     ) -> dict[str, MethodEntry]:
-        """Solve ``{key: (params, previous)}`` in one fused pass.
+        """Solve ``{key: (params, previous)}`` through the fused solver.
 
-        The per-method instruments (``repro_solver_solves_total``,
-        ``repro_solver_last_*``) fire exactly as the serial path's do;
-        ``repro_solver_solve_seconds`` does not — wall-clock is shared
-        across the stack, so the fused pass reports its own
-        ``repro_fused_pass_seconds`` instead.
+        :func:`repro.core.fused.solve_methods` stacks the methods when
+        enough of them share an operator and solves them one at a time
+        otherwise, with bit-identical scores either way.  The
+        per-method instruments (``repro_solver_solves_total``,
+        ``repro_solver_last_*``) fire once per method.
         """
         from repro.core.fused import solve_methods
 
@@ -366,65 +341,6 @@ class ScoreIndex:
             },
         )
         return entries
-
-    def _solve(
-        self,
-        key: str,
-        params: dict[str, Any],
-        *,
-        previous: FloatVector | None,
-        network: CitationNetwork | None = None,
-    ) -> MethodEntry:
-        if network is None:
-            network = self._network
-        method = make_method(key, **params)
-        warm = previous is not None and warm_startable(key)
-        if warm:
-            method.start_vector = grow_start_vector(
-                previous, network.n_papers
-            )
-        started = time.perf_counter()
-        with span("solver.solve", method=key, warm=warm) as sp:
-            scores = method.scores(network)
-            info = method.last_convergence
-            if sp is not None and info is not None:
-                sp.set(
-                    iterations=info.iterations,
-                    converged=info.converged,
-                )
-        elapsed = time.perf_counter() - started
-        # Shared arrays are read-only throughout this codebase (see
-        # CitationNetwork); the score vector doubles as the next warm
-        # start and the ranking basis, so caller mutation must fail loud.
-        scores.setflags(write=False)
-        iterations = info.iterations if info is not None else 0
-        converged = info.converged if info is not None else True
-        _SOLVES_TOTAL.inc(
-            method=key, converged="true" if converged else "false"
-        )
-        _SOLVE_SECONDS.observe(elapsed, method=key)
-        _LAST_ITERATIONS.set(iterations, method=key)
-        if info is not None:
-            _LAST_RESIDUAL.set(info.residual, method=key)
-        _LOG.info(
-            "solve",
-            extra={
-                "method": key,
-                "papers": network.n_papers,
-                "iterations": iterations,
-                "converged": converged,
-                "warm": warm,
-                "ms": round(elapsed * 1e3, 3),
-            },
-        )
-        return MethodEntry(
-            label=key,
-            params=params,
-            scores=scores,
-            iterations=iterations,
-            converged=converged,
-            warm_started=warm,
-        )
 
     # ------------------------------------------------------------------
     # Persistence

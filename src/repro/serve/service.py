@@ -3,35 +3,43 @@
 :class:`RankingService` is the piece a web tier would sit on.  It
 answers read queries — paginated top-k lists, year-range filtered
 rankings, multi-method comparisons, single-paper lookups — and funnels
-write traffic (deltas) through a :class:`~repro.serve.DeltaUpdater`.
+write traffic (deltas, refreshes) through a
+:class:`~repro.serve.DeltaUpdater`.
 
-Since the sharding refactor the service no longer reads score vectors
-directly: it owns a :class:`~repro.serve.ShardedScoreIndex` (a
+The service owns a :class:`~repro.serve.ShardedScoreIndex` (a
 single-shard store by default — the unsharded service is just the
 ``shards=1`` special case) and delegates every read to a
 :class:`~repro.serve.QueryEngine`, the same engine that serves batched
-multi-shard traffic.  What the service adds on top of the engine:
+multi-shard traffic.
 
-* an LRU result cache whose keys include the serving-state version, so
-  a delta update implicitly invalidates every cached page;
-* write plumbing — :meth:`update` applies a delta, routes the growth to
-  the affected shards, and clears the cache;
-* freshness tracking — an out-of-band :meth:`ScoreIndex.refresh` is
-  detected by version mismatch and the shard store re-synced before the
-  next read.
+One publication rule keeps reads consistent with writes:
+
+* **Readers pin.**  Every read is a batch (:meth:`top_k`,
+  :meth:`compare` and :meth:`paper` are one-element batches), and a
+  batch pins the store's published
+  :class:`~repro.serve.StoreSnapshot` once: its cache lookups, its
+  engine misses and any per-query retry all answer from that snapshot
+  and are stamped with its version.  Readers never look at the
+  :class:`~repro.serve.ScoreIndex`.
+* **Writers publish.**  :meth:`update` and :meth:`refresh` re-solve
+  off to the side and publish the new version as ONE snapshot swap
+  (:meth:`ShardedScoreIndex.sync`), then clear the result cache.  A
+  write killed before that swap publishes nothing: readers stay on the
+  last published version, and the next write's sync publishes
+  everything the index holds.
+
+The result cache keys on the pinned snapshot's version and labels, so
+an entry is only served to a batch pinned on the same publication —
+even after a publish that adds a method without moving the version.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro._typing import IntVector
 from repro.errors import ConfigurationError
 from repro.graph.builder import MissingRefPolicy
 from repro.obs.trace import span as trace_span
-from repro.ranking import ranking_from_scores
 from repro.serve.batch import (
     CompareQuery,
     PaperQuery,
@@ -39,7 +47,6 @@ from repro.serve.batch import (
     QueryEngine,
     TopKQuery,
     _normalise_page,
-    pairwise_overlap,
 )
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.delta import DeltaUpdater, NetworkDelta, UpdateReport
@@ -49,8 +56,8 @@ from repro.serve.results import (
     QueryResult,
     RankedPaper,
 )
-from repro.serve.score_index import ScoreIndex
-from repro.serve.shard import ShardedScoreIndex
+from repro.serve.score_index import MethodEntry, ScoreIndex
+from repro.serve.shard import ShardedScoreIndex, StoreSnapshot
 
 __all__ = [
     "RankingService",
@@ -67,7 +74,8 @@ class RankingService:
     Parameters
     ----------
     index:
-        The (live) score index; the service updates it in place.
+        The (live) score index; the service's writes update it in place
+        and publish it to the shard store.
     cache_size:
         Capacity of the LRU result cache.
     missing_references:
@@ -124,7 +132,7 @@ class RankingService:
 
     @property
     def index(self) -> ScoreIndex:
-        """The score index queries are answered from."""
+        """The score index writes re-solve (reads use :attr:`sharded`)."""
         return self._index
 
     @property
@@ -134,63 +142,24 @@ class RankingService:
 
     @property
     def sharded(self) -> ShardedScoreIndex:
-        """The shard store backing the engine."""
+        """The shard store backing the engine (the published snapshot)."""
         return self._sharded
 
     @property
     def version(self) -> int:
-        """Current index version (bumped by :meth:`update`)."""
-        return self._index.version
+        """The published version: what a read started now is stamped with.
 
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the result cache."""
-        return self._cache.stats()
-
-    @property
-    def _rankings(self) -> dict[str, tuple[int, IntVector]]:
-        """Back-compat view of the memoised rankings.
-
-        Historically the service memoised one full permutation per
-        method as ``label -> (version, order)``; the permutations now
-        live per shard inside the engine.  This property reassembles
-        that mapping (for the labels whose shard orders are warm) so
-        diagnostics and tests keep one stable surface.
+        Moves only when a write publishes (:meth:`update`,
+        :meth:`refresh`).
         """
-        snap = self._sharded.snapshot()
-        rankings: dict[str, tuple[int, IntVector]] = {}
-        for label in self._engine.warm_methods():
-            full = np.empty(snap.n_papers, dtype=np.float64)
-            for shard in snap.iter_shards():
-                full[shard.global_indices] = shard.scores[label]
-            rankings[label] = (snap.version, ranking_from_scores(full))
-        return rankings
-
-    # ------------------------------------------------------------------
-    # Freshness
-    # ------------------------------------------------------------------
-    def _fresh_version(self) -> int:
-        """Sync the shard store if the index moved underneath us.
-
-        `ScoreIndex.refresh` and `ScoreIndex.add_method` can be called
-        directly (warm-start benchmarks register methods late, and a
-        stream replay's :meth:`~repro.stream.StreamIngestor.finalize`
-        re-solves out of band); a version or label mismatch is the
-        signal that the shard slices are stale.  A *version* change
-        additionally invalidates the result cache: entries keyed by
-        older versions can never be served again, and letting them
-        squat in the LRU until capacity evicts them would push out live
-        pages — on a long replay, every micro-batch would poison the
-        cache a little more.
-        """
-        if self._sharded.version != self._index.version:
-            self._sharded.sync()
-            self._cache.clear()
-        elif self._sharded.labels != self._index.labels:
-            self._sharded.sync()
         return self._sharded.version
 
+    def cache_stats(self) -> CacheStats:
+        """Hit/miss/eviction/invalidation counters of the result cache."""
+        return self._cache.stats()
+
     # ------------------------------------------------------------------
-    # Reads
+    # Reads (each a one-element batch)
     # ------------------------------------------------------------------
     def top_k(
         self,
@@ -216,18 +185,10 @@ class RankingService:
             Inclusive ``(lo, hi)`` publication-time filter; ranks are
             renumbered within the filtered population.
         """
-        label = method.upper()
-        span = _normalise_page(k, offset, year_range)
-        version = self._fresh_version()
-        cache_key = (version, label, k, offset, span)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached
-        result = self._engine.top_k(
-            label, k=k, offset=offset, year_range=span
+        query = TopKQuery(
+            method=method, k=k, offset=offset, year_range=year_range
         )
-        self._cache.put(cache_key, result)
-        return result
+        return self.execute_batch([query])[1][0]
 
     def compare(
         self,
@@ -240,26 +201,17 @@ class RankingService:
         """The same result page of several methods, with overlaps.
 
         Overlaps count shared papers *within the requested page* of each
-        pair of methods.  Pages go through :meth:`top_k`, so repeated
-        comparisons ride the result cache.
+        pair of methods.  Repeated comparisons ride the result cache.
         """
-        labels = [m.upper() for m in methods]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError("duplicate method labels in comparison")
-        results = {
-            label: self.top_k(
-                label, k=k, offset=offset, year_range=year_range
-            )
-            for label in labels
-        }
-        return MethodComparison(
-            results=results, overlap=pairwise_overlap(results)
+        query = CompareQuery(
+            methods=tuple(methods), k=k, offset=offset,
+            year_range=year_range,
         )
+        return self.execute_batch([query])[1][0]
 
     def paper(self, paper_id: str) -> PaperDetails:
         """Scores and (unfiltered) ranks of one paper across all methods."""
-        self._fresh_version()
-        return self._engine.paper(paper_id)
+        return self.execute_batch([PaperQuery(paper_id=str(paper_id))])[1][0]
 
     # ------------------------------------------------------------------
     # Batched reads through the result cache
@@ -291,95 +243,102 @@ class RankingService:
         )
 
     @staticmethod
-    def _batch_key(version: int, query: Query) -> tuple:
-        """Cache key of one normalised query at one version.
+    def _batch_key(snap: StoreSnapshot, query: Query) -> tuple:
+        """Cache key of one normalised query on one pinned snapshot.
 
-        :class:`TopKQuery` keys deliberately match the ones
-        :meth:`top_k` writes, so the batched gateway path and the
-        single-query path share cache entries.  The other shapes cannot
-        collide: a compare key carries a *tuple* of labels where a
-        top-k key carries a string, and a paper key has a different
-        arity altogether.
+        The snapshot's ``(version, labels)`` leads the key: a publish
+        either moves the version or adds a method, and the key holds
+        no reference to the snapshot's shards, so a stale entry keeps
+        only its page alive.  The shapes cannot collide: a compare key
+        carries a *tuple* of labels where a top-k key carries a string,
+        and a paper key has a different arity altogether.
         """
+        pin = (snap.version, snap.labels)
         if isinstance(query, TopKQuery):
             return (
-                version, query.method, query.k, query.offset,
+                pin, query.method, query.k, query.offset,
                 query.year_range,
             )
         if isinstance(query, CompareQuery):
             return (
-                version, query.methods, query.k, query.offset,
+                pin, query.methods, query.k, query.offset,
                 query.year_range,
             )
         assert isinstance(query, PaperQuery)
-        return (version, "paper", query.paper_id)
+        return (pin, "paper", query.paper_id)
 
     def execute_batch(
-        self, queries: Sequence[Query]
+        self,
+        queries: Sequence[Query],
+        *,
+        snapshot: StoreSnapshot | None = None,
     ) -> tuple[int, tuple[Any, ...]]:
         """Answer a query batch through the result cache and the engine.
 
-        The read path the gateway's request coalescer drives: every
-        query is first looked up in the LRU result cache (under the
-        fresh version), the misses are executed as ONE engine batch
-        (amortising the shard fan-out), and the computed results are
-        cached for the next flood.  Returns ``(version, results)`` in
-        request order; each result is exactly the object the
-        corresponding single-query method would return — bit-identical
-        to :meth:`top_k` / :meth:`compare` / :meth:`paper` calls at the
-        same version.
+        The service's one read path, which the gateway's request
+        coalescer drives too: the batch pins ``snapshot`` (default: the
+        published one) once, every query is looked up in the LRU result
+        cache under that snapshot, the misses are executed as
+        ONE engine batch on the same snapshot (amortising the shard
+        fan-out), and the computed results are cached for the next
+        flood.  Returns ``(version, results)`` in request order; every
+        result is bit-identical to a single-query read at that version.
         """
         normalised = [self._normalise_query(query) for query in queries]
-        while True:
-            version = self._fresh_version()
-            keys = [
-                self._batch_key(version, query) for query in normalised
-            ]
-            results: list[Any] = [None] * len(normalised)
-            misses: list[int] = []
-            with trace_span(
-                "service.cache_lookup", queries=len(normalised)
-            ) as sp:
-                for position, key in enumerate(keys):
-                    cached = self._cache.get(key)
-                    if cached is None:
-                        misses.append(position)
-                    else:
-                        results[position] = cached
-                if sp is not None:
-                    sp.set(
-                        hits=len(normalised) - len(misses),
-                        misses=len(misses),
-                    )
-            if not misses:
-                return version, tuple(results)
-            engine_version, computed = self._engine.execute_versioned(
-                tuple(normalised[position] for position in misses)
+        snap = snapshot if snapshot is not None else self._sharded.snapshot()
+        keys = [self._batch_key(snap, query) for query in normalised]
+        results: list[Any] = [None] * len(normalised)
+        misses: list[int] = []
+        with trace_span(
+            "service.cache_lookup", queries=len(normalised)
+        ) as sp:
+            for position, key in enumerate(keys):
+                cached = self._cache.get(key)
+                if cached is None:
+                    misses.append(position)
+                else:
+                    results[position] = cached
+            if sp is not None:
+                sp.set(
+                    hits=len(normalised) - len(misses),
+                    misses=len(misses),
+                )
+        if misses:
+            _, computed = self._engine.execute_versioned(
+                [normalised[position] for position in misses],
+                snapshot=snap,
             )
-            if engine_version != version:
-                # The store moved between the cache lookups and the
-                # engine pinning its snapshot (an out-of-band refresh
-                # from another thread).  Mixing version-N cache hits
-                # with version-N+1 computations — or caching the new
-                # results under the old key — would break the method's
-                # single-version promise; retry against the new state.
-                continue
             for position, value in zip(misses, computed):
                 self._cache.put(keys[position], value)
                 results[position] = value
-            return version, tuple(results)
+        return snap.version, tuple(results)
 
     # ------------------------------------------------------------------
-    # Writes
+    # Writes (each publishes one snapshot)
     # ------------------------------------------------------------------
     def update(self, delta: NetworkDelta) -> UpdateReport:
-        """Apply a delta: extend, warm re-solve, re-shard, invalidate.
+        """Apply a delta: extend, warm re-solve, publish, invalidate.
 
         The cache clear is belt-and-braces with the version-keyed
         cache entries: keys of the old version could never be served
-        again anyway, but dropping them releases the memory at the
-        moment it becomes dead instead of waiting for LRU eviction.
+        again anyway, but dropping them frees their pages at the moment
+        they become dead instead of waiting for LRU eviction.  A batch
+        pinned before the publish may still put its old-version pages
+        afterwards; the next publish or LRU eviction drops those.
         """
         report = self._updater.apply(delta)
         self._cache.clear()
         return report
+
+    def refresh(self) -> dict[str, MethodEntry]:
+        """Re-solve every method cold on the current network and publish.
+
+        Cold means from the canonical start, so the scores equal a
+        fresh build's (:meth:`~repro.stream.StreamIngestor.finalize`
+        relies on that).  Returns the refreshed entries; the version
+        moves by one.
+        """
+        entries = self._index.refresh(warm=False)
+        self._sharded.sync()
+        self._cache.clear()
+        return entries

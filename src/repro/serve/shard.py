@@ -293,16 +293,15 @@ class Shard:
             lo, hi = span
             ordered_times = self.times[full]
             order = full[(ordered_times >= lo) & (ordered_times <= hi)]
-            spans_memoised = sum(
-                1 for _, memo_span in self._orders if memo_span is not None
-            )
-            if spans_memoised >= self.MAX_SPAN_MEMOS:
-                oldest = next(
-                    memo_key
-                    for memo_key in self._orders
-                    if memo_key[1] is not None
-                )
-                del self._orders[oldest]
+            # Iterate a copy of the keys: reads on other threads may
+            # memoise (or evict) on this shard meanwhile.
+            spans = [
+                memo_key
+                for memo_key in list(self._orders)
+                if memo_key[1] is not None
+            ]
+            if len(spans) >= self.MAX_SPAN_MEMOS:
+                self._orders.pop(spans[0], None)
         order.setflags(write=False)
         self._orders[key] = order
         return order

@@ -374,11 +374,13 @@ class StreamIngestor:
     def step(self) -> BatchReport:
         """Apply the next micro-batch; raise :class:`StreamError` at EOF.
 
-        A step that fails after the index published its batch (killed
-        while the shards re-sync, say) still consumes the batch before
-        the error propagates, so the next step applies the next batch
-        instead of adding this one's papers twice.  The service
-        re-syncs stale shards on its next read.
+        The batch is served once the service publishes it, as one
+        snapshot swap.  A step that fails after the index took its
+        batch (killed at the shard store's swap, say) still consumes
+        the batch before the error propagates, so the next step applies
+        the next batch instead of adding this one's papers twice.
+        Readers stay on the last published version meanwhile, and the
+        next write's sync publishes everything the index holds.
         """
         if self.exhausted:
             raise StreamError(
@@ -545,11 +547,11 @@ class StreamIngestor:
         uniform start is fully deterministic), so a finalized replay is
         bit-identical to :func:`batch_compute` over the same events —
         regardless of batch size, shard count, or resume history.  The
-        version bump makes the service re-sync its shards and drop its
-        result cache on the next read.
+        refresh goes through :meth:`RankingService.refresh`, so the
+        canonical scores are published (one snapshot swap, the result
+        cache dropped) before this returns.
         """
-        entries = self.index.refresh(warm=False)
-        return entries
+        return self.service.refresh()
 
     def checkpoint(self, directory: str) -> str:
         """Persist the replay state for :meth:`resume`; returns the path.

@@ -18,7 +18,6 @@ import importlib
 import inspect
 import json
 import os
-import threading
 import time
 
 import numpy as np
@@ -299,18 +298,17 @@ class TestDrainUnderLoad:
             host, port = server.config.host, server.port
             # Read batches run inline on the event loop, so the delayed
             # batch would finish before stop() could start.  Hold the
-            # batch lock the way an updater micro-batch does until the
-            # drain has begun; only then does the delayed batch run.
-            held, release = threading.Event(), threading.Event()
+            # admitted request before it reaches the coalescer until
+            # the drain has begun; only then does the delayed batch run.
+            held, release = asyncio.Event(), asyncio.Event()
+            submit = server.coalescer.submit
 
-            def hold_batches():
+            async def held_submit(query):
                 held.set()
-                release.wait(5.0)
+                await release.wait()
+                return await submit(query)
 
-            hold = asyncio.ensure_future(
-                server.coalescer.exclusively(hold_batches)
-            )
-            await wait_until(held.is_set)
+            server.coalescer.submit = held_submit
             drain_began_with = []
             start_draining = server.admission.start_draining
 
@@ -325,11 +323,11 @@ class TestDrainUnderLoad:
                 f"Host: {host}\r\nConnection: close\r\n\r\n".encode()
             )
             await writer.drain()
+            await wait_until(held.is_set)
             await wait_until(lambda: server.admission.active == 1)
             stop_task = asyncio.ensure_future(server.stop())
             await wait_until(lambda: server.admission.draining)
             release.set()
-            await hold
             head = await reader.readuntil(b"\r\n\r\n")
             status = int(head.split(b" ")[1])
             length = int(
@@ -452,6 +450,7 @@ class TestCrashBetweenAppendAndPublish:
         service = ingestor.service
         plan = FaultPlan.single(point, kind="crash", invocation=3)
         crashes = 0
+        unpublished = False
         with FaultInjector(plan) as injector:
             for delta in _deltas(log.events[ingestor.offset:], 64):
                 try:
@@ -461,13 +460,23 @@ class TestCrashBetweenAppendAndPublish:
                     if point == "index.refresh.swap":
                         # Nothing was published: apply the batch again.
                         service.update(delta)
+                        assert_fresh_slices(service.sharded, service.index)
                     else:
-                        # The index moved on; the next read retries
-                        # the sync against the stale store.
-                        service.top_k("CC", k=3)
+                        # The index moved on and the store did not:
+                        # reads stay on the last published version
+                        # until the next update's sync publishes both
+                        # batches.
+                        assert service.version == service.index.version - 1
+                        page = service.top_k("CC", k=3)
+                        assert page.version == service.version
+                        unpublished = True
+                    continue
+                if unpublished:
                     assert_fresh_slices(service.sharded, service.index)
+                    unpublished = False
         assert crashes == 1 and len(injector.fired) == 1
-        service.index.refresh(warm=False)
+        assert not unpublished
+        service.refresh()
         service.top_k("CC", k=3)
         reference = batch_compute(log, methods)
         assert service.index.network.paper_ids == reference.network.paper_ids
@@ -554,9 +563,9 @@ class TestCheckpointScenarios:
 @pytest.mark.chaos
 class TestGatewayScenarios:
     def test_updater_killed_mid_batch_is_contained(self):
-        """Satellite 3's hard half: the write path dies holding the
-        coalescer lock; reads keep serving one untorn version and the
-        drain still finishes cleanly."""
+        """The write path dies mid-step in its executor thread; reads
+        keep serving one untorn version and the drain still finishes
+        cleanly."""
         from repro.chaos.harness import run_gateway_scenario
 
         plan = FaultPlan.single(

@@ -277,3 +277,66 @@ class TestWhereWorkRuns:
             ("resumed", 2),
             ("resumed", 3),
         ]
+
+
+class TestReadsDuringUpdates:
+    """Every batch pins one published snapshot, so reads never wait."""
+
+    def test_read_is_answered_while_a_step_is_held(self, monkeypatch):
+        """A read arriving while an updater step is held in the executor
+        (after the index took the batch, before the shard store
+        publishes it) is answered at the previous version at once."""
+        from repro.gateway import StreamUpdater
+        from repro.stream import EventLog, StreamIngestor
+
+        log = EventLog.from_network(toy_network())
+
+        def make_ingestor():
+            ingestor = StreamIngestor(
+                log, methods=("CC", "PR"), batch_size=2, bootstrap_size=12
+            )
+            ingestor.step()
+            return ingestor
+
+        ingestor, replica = make_ingestor(), make_ingestor()
+        service = ingestor.service
+        query = TopKQuery(method="PR", k=3)
+        entered, release = threading.Event(), threading.Event()
+        store = service.sharded
+        publish = store.sync
+
+        def held_sync():
+            entered.set()
+            assert release.wait(5.0)
+            return publish()
+
+        monkeypatch.setattr(store, "sync", held_sync)
+
+        async def main():
+            coalescer = RequestCoalescer(service)
+            await coalescer.start()
+            updater = StreamUpdater(
+                ingestor, coalescer, interval=0.0, max_batches=1
+            )
+            task = asyncio.ensure_future(updater.run())
+            try:
+                deadline = asyncio.get_running_loop().time() + 5.0
+                while not entered.is_set():
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.005)
+                during = await asyncio.wait_for(
+                    coalescer.submit(query), timeout=2.0
+                )
+                index_version = service.index.version
+            finally:
+                release.set()
+                await task
+            after = await coalescer.submit(query)
+            await coalescer.close()
+            return during, index_version, after
+
+        during, index_version, after = asyncio.run(main())
+        assert index_version == 1
+        assert during == (0, replica.service.top_k("PR", k=3))
+        replica.step()
+        assert after == (1, replica.service.top_k("PR", k=3))

@@ -9,7 +9,6 @@ updates, load shedding under overload, and drain-on-shutdown.
 import asyncio
 import io
 import json
-import threading
 import time
 
 import pytest
@@ -473,28 +472,27 @@ class TestDrain:
             server = GatewayServer(service, config=GatewayConfig(port=0))
             await server.start()
             host, port = server.config.host, server.port
-            # Read batches run inline on the event loop: hold the batch
-            # lock (as an updater micro-batch would) so the request is
-            # still unanswered when the drain begins.
-            held, release = threading.Event(), threading.Event()
+            # Read batches run inline on the event loop: hold the
+            # admitted request before it reaches the coalescer, so it
+            # is still unanswered when the drain begins.
+            held, release = asyncio.Event(), asyncio.Event()
+            submit = server.coalescer.submit
 
-            def hold_batches():
+            async def held_submit(query):
                 held.set()
-                release.wait(5.0)
+                await release.wait()
+                return await submit(query)
 
-            hold = asyncio.ensure_future(
-                server.coalescer.exclusively(hold_batches)
-            )
-            await wait_until(held.is_set)
+            server.coalescer.submit = held_submit
             inflight = asyncio.ensure_future(
                 _get(host, port, "/v1/top?method=CC&k=2")
             )
+            await wait_until(held.is_set)
             await wait_until(lambda: server.admission.active == 1)
             stopping = asyncio.ensure_future(server.stop())
             await wait_until(lambda: server.admission.draining)
             answered_before_release = inflight.done()
             release.set()
-            await hold
             await stopping              # drain must wait for it
             status, document = await inflight
             refused = False

@@ -14,16 +14,19 @@ import pytest
 from repro.errors import ConfigurationError, DataFormatError, GraphError
 from repro.serve import (
     CompareQuery,
+    DeltaUpdater,
+    NetworkDelta,
     PaperQuery,
     QueryEngine,
     RankingService,
     ScoreIndex,
     ShardedScoreIndex,
     TopKQuery,
+    execute_with_attribution,
     queries_from_payload,
     result_payload,
 )
-from repro.synth import generate_dataset
+from repro.synth import generate_dataset, toy_network
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -270,20 +273,93 @@ class TestPaperRankCounting:
             assert engine.paper(pid) == service.paper(pid)
 
 
+class _PublishingStore:
+    """Duck-types the shard store; every pin moves to the next published
+    snapshot, then stays on the last — as a fleet worker's shared store
+    does while the supervisor publishes."""
+
+    def __init__(self, snapshots):
+        self._snapshots = list(snapshots)
+
+    def snapshot(self):
+        pinned = self._snapshots[0]
+        if len(self._snapshots) > 1:
+            del self._snapshots[0]
+        return pinned
+
+    @property
+    def version(self):
+        return self._snapshots[0].version
+
+
+class TestAttributionPinsOneSnapshot:
+    def test_retried_batch_is_stamped_with_one_version(self):
+        """Regression: the per-query retries after a failed batch must
+        all answer from one snapshot.  Re-pinning per query stamped a
+        page computed at one version into a batch of another."""
+        index = ScoreIndex(toy_network())
+        index.add_method("PR")
+        store = ShardedScoreIndex.from_index(index, n_shards=2)
+        published = [store.snapshot()]
+        updater = DeltaUpdater(index, sharded=store)
+        for n in range(3):
+            updater.apply(
+                NetworkDelta(
+                    papers=((f"N{n}", 2004.0 + n),),
+                    citations=((f"N{n}", "D"), (f"N{n}", "H")),
+                )
+            )
+            published.append(store.snapshot())
+        engine = QueryEngine(_PublishingStore(published))
+        queries = [
+            TopKQuery(method="PR", k=3),
+            TopKQuery(method="NOPE", k=3),
+            TopKQuery(method="PR", k=3),
+        ]
+        version, outcomes = execute_with_attribution(
+            engine.execute_versioned, queries, engine.sharded
+        )
+        assert isinstance(outcomes[1], ConfigurationError)
+        direct = QueryEngine(
+            _PublishingStore([published[version]])
+        ).top_k("PR", k=3)
+        for page in (outcomes[0], outcomes[2]):
+            assert page.version == version
+            assert page == direct
+
+
 class TestLateMethodRegistration:
     def test_service_serves_methods_added_after_construction(
         self, hepth_tiny
     ):
         """add_method on the backing index must reach the shard store
-        even though it bumps no version."""
+        once the store publishes it, even though it bumps no version."""
         index = ScoreIndex(hepth_tiny)
         index.add_method("CC")
         service = RankingService(index, shards=3)
         service.top_k("CC", k=3)  # warm the store with the old labels
         index.add_method("PR")
+        service.sharded.sync()  # writers publish; reads never re-sync
         page = service.top_k("PR", k=5)
         assert page.method == "PR"
         details = service.paper(hepth_tiny.id_of(0))
+        assert set(details.scores) == {"CC", "PR"}
+
+    def test_cached_lookup_is_not_served_after_a_label_publish(
+        self, hepth_tiny
+    ):
+        """Regression: a publish that adds a method keeps the version,
+        so a result cache keyed on the version served the lookup
+        cached before it, without the new method."""
+        index = ScoreIndex(hepth_tiny)
+        index.add_method("CC")
+        service = RankingService(index)
+        lookup = [PaperQuery(paper_id=hepth_tiny.id_of(0))]
+        service.execute_batch(lookup)
+        index.add_method("PR")
+        service.sharded.sync()
+        version, (details,) = service.execute_batch(lookup)
+        assert version == 0
         assert set(details.scores) == {"CC", "PR"}
 
 
