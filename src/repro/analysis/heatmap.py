@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.eval.metrics import Metric
 from repro.eval.split import TemporalSplit
-from repro.eval.tuning import evaluate_setting
+from repro.eval.tuning import tune_method
 
 __all__ = ["HeatmapSweep", "attention_heatmap"]
 
@@ -102,32 +102,38 @@ def attention_heatmap(
     The recency decay ``w`` is fitted once from the split's current
     network (as the paper fits it per dataset) and reused across all
     grid points, which both matches the methodology and avoids refitting
-    in the inner loop.
+    in the inner loop.  Every valid cell of every window is one point
+    of a single fused sweep (:func:`repro.eval.tuning.tune_method`).
     """
     from repro.core.recency import fit_decay_rate
 
     decay = fit_decay_rate(split.current).decay_rate
-    values: dict[int, np.ndarray] = {}
+    cells: list[tuple[int, int, int]] = []
+    points: list[dict[str, float]] = []
     for window in windows:
-        grid = np.full((len(betas), len(alphas)), np.nan)
         for b, beta in enumerate(betas):
             for a, alpha in enumerate(alphas):
                 gamma = round(1.0 - alpha - beta, 10)
                 if not 0.0 <= gamma <= 0.9:
                     continue
-                grid[b, a] = evaluate_setting(
-                    "AR",
+                cells.append((int(window), b, a))
+                points.append(
                     {
                         "alpha": alpha,
                         "beta": beta,
                         "gamma": gamma,
                         "attention_window": float(window),
                         "decay_rate": decay,
-                    },
-                    split,
-                    metric,
+                    }
                 )
-        values[int(window)] = grid
+    values = {
+        int(window): np.full((len(betas), len(alphas)), np.nan)
+        for window in windows
+    }
+    if points:
+        swept = tune_method("AR", points, split, metric).sweep
+        for (window, b, a), entry in zip(cells, swept):
+            values[window][b, a] = entry.score
     return HeatmapSweep(
         metric=metric.name,
         alphas=tuple(float(a) for a in alphas),

@@ -56,6 +56,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Sequence
@@ -101,6 +102,11 @@ CHAOS_BATCH = 16
 #: Restart budget — a plan fires once, so anything past a handful of
 #: restarts is a harness bug, not a legitimate schedule.
 _MAX_RESTARTS = 25
+
+#: How long the worker scenario waits, after its load, for the fleet to
+#: finish its restarts: a planned kill lands within 8 heartbeats (24 ms)
+#: and a replacement forks and reports ready in tens of milliseconds.
+_SETTLE_SECONDS = 5.0
 
 
 @lru_cache(maxsize=16)
@@ -579,9 +585,20 @@ def run_worker_scenario(
 
             asyncio.run(drive())
             # Before stop(): the fleet profile must aggregate cleanly
-            # with a replacement worker in the fleet — merged stack
-            # counts from the survivor plus the restarted process.
-            fleet_profile = gateway.aggregate_profile()
+            # with replacement workers in the fleet.  The load can end
+            # before every armed worker has died, been reaped and
+            # replaced: each original worker dies once (its replacement
+            # is disarmed), so aggregate once that many restarts have
+            # happened and every slot's worker answers its control port.
+            deadline = time.monotonic() + _SETTLE_SECONDS
+            while True:
+                fleet_profile = gateway.aggregate_profile()
+                settled = gateway.restarts >= gateway.n_workers and all(
+                    worker["scraped"] for worker in fleet_profile["workers"]
+                )
+                if settled or time.monotonic() >= deadline:
+                    break
+                time.sleep(0.01)
         finally:
             fleet = gateway.stop()
     report.fired = gateway.restarts >= 1

@@ -31,7 +31,8 @@ Subcommands
                verify every response against a direct service call,
                and report requests/sec + latency quantiles.
 ``compare``    Reproduce a figure panel (tune all methods per ratio),
-               fanned out over ``--jobs`` worker processes.
+               with the sweep's fused chunks fanned out over ``--jobs``
+               worker processes.
 ``bench``      Run a benchmark scenario and write ``BENCH_<name>.json``.
 ``bench-diff`` Compare two directories of ``BENCH_*.json`` artifacts and
                fail on regressions (the CI benchmark gate).
@@ -813,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help=(
             "reproduce a figure panel: tune every method per test "
-            "ratio (each method's grid solved in one fused pass); "
-            "--jobs fans ratios over worker processes, --json adds "
+            "ratio (each method's grid solved in fused chunks); "
+            "--jobs fans the chunks over worker processes, --json adds "
             "per-method best params and fused iteration counts"
         ),
     )

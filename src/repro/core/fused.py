@@ -109,6 +109,7 @@ __all__ = [
     "FusedColumn",
     "FusedSolver",
     "solve_methods",
+    "stack_width",
 ]
 
 #: The loosest tolerance a float32 iterate can reliably reach; column
@@ -138,6 +139,18 @@ MIN_STACK_WIDTH = 16
 #: their methods' scalar ``scores()`` path instead.  Results are
 #: bit-identical either way; only wall-clock changes.
 FUSE_MIN_COLUMNS = 8
+
+
+def stack_width(n: int, dtype: Any = np.float64) -> int:
+    """Columns per stacked batch for vectors of ``n`` entries.
+
+    One stacked buffer stays near :data:`STACK_BYTES_BUDGET`, and no
+    batch is narrower than :data:`MIN_STACK_WIDTH`.  Batching is a pure
+    scheduling choice — each column's arithmetic is unchanged, so
+    results are bit-identical at any width.
+    """
+    column_bytes = int(n) * np.dtype(dtype).itemsize
+    return max(MIN_STACK_WIDTH, STACK_BYTES_BUDGET // max(column_bytes, 1))
 
 
 _FUSED_PASSES = REGISTRY.counter(
@@ -371,15 +384,8 @@ class FusedSolver:
         return column.tol
 
     def _stack_width(self, k: int) -> int:
-        """Columns per batch so one stacked buffer stays cache-sized.
-
-        See :data:`STACK_BYTES_BUDGET`.  Batching is a pure scheduling
-        choice — each column's arithmetic is unchanged, so results are
-        bit-identical at any width.
-        """
-        column_bytes = self._n * self._dtype.itemsize
-        by_budget = STACK_BYTES_BUDGET // max(column_bytes, 1)
-        return max(1, min(k, max(MIN_STACK_WIDTH, by_budget)))
+        """Columns per batch for ``k`` columns; see :func:`stack_width`."""
+        return max(1, min(k, stack_width(self._n, self._dtype)))
 
     def _chunks(
         self, matrix: sp.csr_matrix

@@ -9,11 +9,13 @@ The ablations are handled exactly as in the paper: NO-ATT is the
 ``beta = 0`` slice of AttRank's grid, ATT-ONLY the ``beta = 1`` slice,
 and the full AttRank grid covers everything in between.
 
-The drivers here run serially; the ``repro.parallel`` engine exposes
-:meth:`~repro.parallel.ExperimentEngine.compare_over_ratios` and
-:meth:`~repro.parallel.ExperimentEngine.compare_over_k` equivalents
-that fan the grid points over worker processes and return bit-identical
-series (``repro compare --jobs N`` on the command line).
+Each protocol is assembled once, on :class:`Experiment`, over the one
+fused sweep of :mod:`repro.eval.tuning`: a protocol names its splits,
+grids and metrics, and the sweep solves every (split, method) grid once.
+The module-level drivers run the sweep's chunks in this process;
+:class:`repro.parallel.ExperimentEngine` inherits the same protocols
+and runs the chunks on worker processes, with bit-identical series
+(``repro compare --jobs N`` on the command line).
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from repro.eval.grids import (
     wsdm_grid,
 )
 from repro.eval.metrics import NDCG, Metric, SpearmanRho
-from repro.eval.split import DEFAULT_TEST_RATIOS, split_by_ratio
-from repro.eval.tuning import TuningResult, tune_method
+from repro.eval.split import DEFAULT_TEST_RATIOS, TemporalSplit, split_by_ratio
+from repro.eval.tuning import Tuner, TuningResult
 from repro.graph.citation_network import CitationNetwork
 
 __all__ = [
     "COMPARISON_METHODS",
+    "Experiment",
     "methods_available",
     "run_comparison_at_ratio",
     "ComparisonCell",
@@ -149,87 +152,121 @@ class ComparisonSeries:
         return best_method
 
 
-def run_comparison_at_ratio(
-    network: CitationNetwork,
-    test_ratio: float,
-    metric: Metric,
-    *,
-    methods: Sequence[str] | None = None,
-) -> dict[str, TuningResult]:
-    """Tune every lineup method on one split; label -> tuning result."""
-    split = split_by_ratio(network, test_ratio)
-    lineup = methods if methods is not None else methods_available(network)
-    return {
-        name: tune_method(name, _grid_for_lineup(name), split, metric)
-        for name in lineup
-    }
+class Experiment(Tuner):
+    """The paper's comparison protocols, each assembled once.
 
-
-def compare_over_ratios(
-    network: CitationNetwork,
-    *,
-    dataset: str = "dataset",
-    metric: Metric | None = None,
-    test_ratios: Sequence[float] = DEFAULT_TEST_RATIOS,
-    methods: Sequence[str] | None = None,
-) -> ComparisonSeries:
-    """Reproduce one panel of Figure 3 (Spearman) or Figure 4 (nDCG@50).
-
-    For each test ratio, every method is re-tuned (the paper's protocol)
-    and its best metric value recorded.
+    Every protocol hands its grids to :meth:`~repro.eval.tuning.Tuner.sweep`
+    in one call, so a pool sees the whole cross product of splits,
+    methods and chunks at once.
     """
-    chosen_metric = metric if metric is not None else SpearmanRho()
-    lineup = tuple(
-        methods if methods is not None else methods_available(network)
-    )
-    columns: dict[str, list[ComparisonCell]] = {name: [] for name in lineup}
-    for ratio in test_ratios:
-        tuned = run_comparison_at_ratio(
-            network, ratio, chosen_metric, methods=lineup
+
+    def split(
+        self, network: CitationNetwork, test_ratio: float
+    ) -> TemporalSplit:
+        """The temporal split every protocol tunes on."""
+        return split_by_ratio(network, test_ratio)
+
+    def run_comparison_at_ratio(
+        self,
+        network: CitationNetwork,
+        test_ratio: float,
+        metric: Metric,
+        *,
+        methods: Sequence[str] | None = None,
+    ) -> dict[str, TuningResult]:
+        """Tune every lineup method on one split; label -> tuning result."""
+        panel = self.compare_over_ratios(
+            network, metric=metric, test_ratios=(test_ratio,), methods=methods
         )
-        for name in lineup:
-            columns[name].append(
-                ComparisonCell(method=name, x=float(ratio), result=tuned[name])
+        return {name: cells[0].result for name, cells in panel.cells.items()}
+
+    def compare_over_ratios(
+        self,
+        network: CitationNetwork,
+        *,
+        dataset: str = "dataset",
+        metric: Metric | None = None,
+        test_ratios: Sequence[float] = DEFAULT_TEST_RATIOS,
+        methods: Sequence[str] | None = None,
+    ) -> ComparisonSeries:
+        """Reproduce one panel of Figure 3 (Spearman) or Figure 4 (nDCG@50).
+
+        For each test ratio, every method is re-tuned (the paper's
+        protocol) and its best metric value recorded.
+        """
+        chosen_metric = metric if metric is not None else SpearmanRho()
+        lineup = tuple(
+            methods if methods is not None else methods_available(network)
+        )
+        ratios = tuple(float(ratio) for ratio in test_ratios)
+        splits = {
+            ratio: self.split(network, ratio) for ratio in dict.fromkeys(ratios)
+        }
+        grids = {name: list(_grid_for_lineup(name)) for name in lineup}
+        tuned = iter(
+            self.sweep(
+                splits,
+                [(ratio, name, grids[name]) for name in lineup for ratio in ratios],
+                (chosen_metric,),
             )
-    return ComparisonSeries(
-        dataset=dataset,
-        metric=chosen_metric.name,
-        x_label="test_ratio",
-        x_values=tuple(float(r) for r in test_ratios),
-        cells={name: tuple(cells) for name, cells in columns.items()},
-    )
+        )
+        return ComparisonSeries(
+            dataset=dataset,
+            metric=chosen_metric.name,
+            x_label="test_ratio",
+            x_values=ratios,
+            cells={
+                name: tuple(
+                    ComparisonCell(method=name, x=ratio, result=next(tuned)[0])
+                    for ratio in ratios
+                )
+                for name in lineup
+            },
+        )
+
+    def compare_over_k(
+        self,
+        network: CitationNetwork,
+        *,
+        dataset: str = "dataset",
+        test_ratio: float = 1.6,
+        k_values: Sequence[int] = (5, 10, 50, 100, 500),
+        methods: Sequence[str] | None = None,
+    ) -> ComparisonSeries:
+        """Reproduce one panel of Figure 5: nDCG@k over k at a fixed ratio.
+
+        The split is computed once, and each method's grid is solved
+        once and scored under every cut-off; the best setting is still
+        chosen separately per k (the paper selects "the
+        parameterization ... that gives the best nDCG@k value" for
+        every k).
+        """
+        lineup = tuple(
+            methods if methods is not None else methods_available(network)
+        )
+        metrics = tuple(NDCG(k) for k in k_values)
+        tuned = self.sweep(
+            {test_ratio: self.split(network, test_ratio)},
+            [(test_ratio, name, list(_grid_for_lineup(name))) for name in lineup],
+            metrics,
+        )
+        return ComparisonSeries(
+            dataset=dataset,
+            metric="ndcg",
+            x_label="k",
+            x_values=tuple(float(k) for k in k_values),
+            cells={
+                name: tuple(
+                    ComparisonCell(method=name, x=float(k), result=result)
+                    for k, result in zip(k_values, results)
+                )
+                for name, results in zip(lineup, tuned)
+            },
+        )
 
 
-def compare_over_k(
-    network: CitationNetwork,
-    *,
-    dataset: str = "dataset",
-    test_ratio: float = 1.6,
-    k_values: Sequence[int] = (5, 10, 50, 100, 500),
-    methods: Sequence[str] | None = None,
-) -> ComparisonSeries:
-    """Reproduce one panel of Figure 5: nDCG@k over k at a fixed ratio.
-
-    The split is computed once; each method is tuned separately per k
-    (the paper selects "the parameterization ... that gives the best
-    nDCG@k value" for every k).
-    """
-    split = split_by_ratio(network, test_ratio)
-    lineup = tuple(
-        methods if methods is not None else methods_available(network)
-    )
-    columns: dict[str, list[ComparisonCell]] = {name: [] for name in lineup}
-    for k in k_values:
-        metric = NDCG(k)
-        for name in lineup:
-            result = tune_method(name, _grid_for_lineup(name), split, metric)
-            columns[name].append(
-                ComparisonCell(method=name, x=float(k), result=result)
-            )
-    return ComparisonSeries(
-        dataset=dataset,
-        metric="ndcg",
-        x_label="k",
-        x_values=tuple(float(k) for k in k_values),
-        cells={name: tuple(cells) for name, cells in columns.items()},
-    )
+# The module-level drivers run in this process.
+_IN_PROCESS = Experiment()
+run_comparison_at_ratio = _IN_PROCESS.run_comparison_at_ratio
+compare_over_ratios = _IN_PROCESS.compare_over_ratios
+compare_over_k = _IN_PROCESS.compare_over_k

@@ -387,6 +387,7 @@ class MultiWorkerGateway:
         self._last_history = 0.0
         self._stats_server: ThreadingHTTPServer | None = None
         self._stats_thread: threading.Thread | None = None
+        self._supervision_thread: threading.Thread | None = None
         self.stats_addr: tuple[str, int] | None = None
         self._previous_identity: tuple[str, int] | None = None
         #: Fleet history and SLOs live in the supervisor: one store
@@ -608,8 +609,6 @@ class MultiWorkerGateway:
         forking and all board mutation, so the only fork-at-risk state
         is its own, never the driver's.
         """
-        import threading
-
         def loop() -> None:
             while not self._stopping:
                 self.supervise_once()
@@ -885,6 +884,14 @@ class MultiWorkerGateway:
         if self._stopping:
             return self.last_metrics
         self._stopping = True
+        thread = self._supervision_thread
+        if thread is not None and thread is not threading.current_thread():
+            # A restart fork in flight finishes first; otherwise its
+            # worker starts after the terminate loop below and serves
+            # on, unsupervised, until the interpreter's exit hook waits
+            # for it forever.
+            thread.join()
+            self._supervision_thread = None
         if aggregate and self._slots:
             try:
                 self.last_metrics = self.aggregate_metrics()

@@ -2,31 +2,31 @@
 
 The paper's comparative evaluation (Figures 3-5, Tables 1-3) tunes
 every method over its full hyper-parameter grid per dataset and test
-ratio.  Those grid points are independent, so this package fans them
-out over worker processes while guaranteeing results *bit-identical* to
-the serial drivers in :mod:`repro.eval`:
+ratio.  :mod:`repro.eval` assembles those protocols once, over one
+fused sweep that solves each (split, method) grid in chunks; this
+package decides where the chunks run:
 
-* :class:`ExperimentEngine` — ``jobs``-configurable pool running
-  :meth:`~ExperimentEngine.tune_method`,
+* :class:`ExperimentEngine` — the :mod:`repro.eval` protocols
+  (:meth:`~ExperimentEngine.tune_method`,
   :meth:`~ExperimentEngine.tune_methods`,
-  :meth:`~ExperimentEngine.compare_over_ratios` and
-  :meth:`~ExperimentEngine.compare_over_k` with deterministic
-  reduction order;
-* :class:`SplitSnapshot` — one precomputed evaluation context (CSR
-  transition matrix, attention/recency vectors, decay fit) per split,
-  shared by every grid point a worker evaluates;
+  :meth:`~ExperimentEngine.compare_over_ratios`,
+  :meth:`~ExperimentEngine.compare_over_k`, ...) with the chunks scored
+  in-process at ``jobs=1`` or on a worker pool, reduced in submission
+  order so results are bit-identical for any ``jobs``;
+* :class:`SplitSnapshot` — one split plus its eagerly built shared
+  structure (CSR transition matrix, decay fit, attention vectors), and
+  a point-by-point :meth:`~SplitSnapshot.evaluate`;
 * :func:`resolve_jobs` — ``--jobs`` semantics (``0`` = all cores).
 
 CLI: ``repro compare --jobs N`` reproduces a figure panel in parallel,
 ``repro bench`` measures the speedup and writes ``BENCH_*.json``.
 """
 
-from repro.parallel.engine import ExperimentEngine, GridTask, resolve_jobs
+from repro.parallel.engine import ExperimentEngine, resolve_jobs
 from repro.parallel.snapshot import SplitSnapshot
 
 __all__ = [
     "ExperimentEngine",
-    "GridTask",
     "SplitSnapshot",
     "resolve_jobs",
 ]

@@ -2,51 +2,34 @@
 
 The paper's evaluation protocol (Section 4.3, Figures 3-5) tunes every
 method over its full hyper-parameter grid, per dataset and per test
-ratio — embarrassingly parallel work: each grid point is one independent
-"score this parameterisation on this split" task.
-:class:`ExperimentEngine` fans those tasks out over worker processes
-with :mod:`concurrent.futures`, while keeping three guarantees:
+ratio.  :class:`ExperimentEngine` runs those protocols exactly as
+:mod:`repro.eval` assembles them — it inherits them from
+:class:`~repro.eval.experiment.Experiment` — and decides only where the
+sweep's chunks run:
 
-* **Deterministic results.**  Tasks are reduced in submission order, so
-  sweeps, tie-breaking (the earlier grid point wins) and the returned
-  :class:`~repro.eval.tuning.TuningResult` are *bit-identical* to the
-  serial :func:`repro.eval.tuning.tune_method` — the property the
-  determinism tests assert for ``jobs`` in {1, 2, 4}.
-* **One snapshot per worker, not per task.**  The temporal splits are
-  shipped once per worker (pool initializer), and every worker wraps
-  them in :class:`~repro.parallel.SplitSnapshot` so the CSR transition
-  matrix, attention and recency vectors are built once per process and
-  reused across all of its grid points.
-* **Serial fallback.**  ``jobs=1`` evaluates in-process with no pool
-  and no pickling, against the same warm caches — so the engine is
-  also the fastest way to run the protocol on one core.
+* ``jobs=1`` scores every chunk in-process, with no pool and no
+  pickling;
+* ``jobs > 1`` scores them on a :mod:`concurrent.futures` process pool.
+  The protocol's splits are shipped once per worker (pool initializer),
+  each task is one chunk (a fused stack of consecutive grid points of
+  one method), and results come back in submission order, so sweeps,
+  tie-breaks and series are bit-identical to ``jobs=1`` for any
+  ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from repro.errors import ConfigurationError, EvaluationError
-from repro.eval.experiment import (
-    ComparisonCell,
-    ComparisonSeries,
-    _grid_for_lineup,
-    methods_available,
-)
-from repro.eval.metrics import Metric, NDCG, SpearmanRho
-from repro.eval.split import (
-    DEFAULT_TEST_RATIOS,
-    TemporalSplit,
-    split_by_ratio,
-)
-from repro.eval.tuning import SettingScore, TuningResult
+from repro.errors import ConfigurationError
+from repro.eval.experiment import Experiment
+from repro.eval.split import TemporalSplit, split_by_ratio
+from repro.eval.tuning import SweepChunk, score_chunk
 from repro.graph.citation_network import CitationNetwork
-from repro.parallel.snapshot import SplitSnapshot
 
-__all__ = ["ExperimentEngine", "GridTask", "resolve_jobs"]
+__all__ = ["ExperimentEngine", "resolve_jobs"]
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -64,65 +47,31 @@ def resolve_jobs(jobs: int | None) -> int:
     return int(jobs)
 
 
-@dataclass(frozen=True)
-class GridTask:
-    """One unit of fan-out work: a grid point on a keyed split.
-
-    Attributes
-    ----------
-    split_key:
-        Which of the batch's splits to evaluate on (e.g. the test
-        ratio).  Workers cache one :class:`SplitSnapshot` per key.
-    method:
-        Registry label of the method to instantiate.
-    params:
-        The grid point (constructor keyword arguments).
-    metric:
-        The metric to optimise; picklable (a plain instance).
-    """
-
-    split_key: Any
-    method: str
-    params: Mapping[str, Any]
-    metric: Metric
-
-
 # ----------------------------------------------------------------------
 # Worker-side state.  Populated by the pool initializer; each worker
 # process owns an independent copy (and therefore independent caches).
 # ----------------------------------------------------------------------
-_WORKER_SPLITS: dict[Any, TemporalSplit] = {}
-_WORKER_SNAPSHOTS: dict[Any, SplitSnapshot] = {}
+_WORKER_SPLITS: Mapping[Hashable, TemporalSplit] = {}
 
 
-def _worker_init(splits: dict[Any, TemporalSplit]) -> None:
-    """Pool initializer: receive the batch's splits once per worker."""
-    global _WORKER_SPLITS, _WORKER_SNAPSHOTS
+def _worker_init(splits: Mapping[Hashable, TemporalSplit]) -> None:
+    """Pool initializer: receive the protocol's splits once per worker."""
+    global _WORKER_SPLITS
     _WORKER_SPLITS = splits
-    _WORKER_SNAPSHOTS = {}
 
 
-def _worker_evaluate(task: GridTask) -> float:
-    """Score one grid point against the worker's cached snapshot."""
-    snapshot = _WORKER_SNAPSHOTS.get(task.split_key)
-    if snapshot is None:
-        snapshot = SplitSnapshot(_WORKER_SPLITS[task.split_key])
-        _WORKER_SNAPSHOTS[task.split_key] = snapshot
-    return snapshot.evaluate(task.method, task.params, task.metric)
+def _worker_score(chunk: SweepChunk) -> list[tuple[float, ...]]:
+    return score_chunk(_WORKER_SPLITS[chunk.split_key], chunk)
 
 
-class ExperimentEngine:
-    """Run grid-search experiments across worker processes.
+class ExperimentEngine(Experiment):
+    """Run the paper's tuning protocols, in-process or on worker processes.
 
     Parameters
     ----------
     jobs:
-        Worker process count.  ``1`` (default) evaluates in-process;
+        Worker process count.  ``1`` (default) scores in-process;
         ``0`` or ``None`` uses every core the machine reports.
-    chunk_size:
-        Tasks handed to a worker per dispatch.  ``None`` picks
-        ``ceil(n_tasks / (4 * workers))`` — large enough to amortise
-        pickling, small enough to balance uneven grid-point costs.
 
     Examples
     --------
@@ -137,270 +86,30 @@ class ExperimentEngine:
     9
     """
 
-    def __init__(
-        self,
-        jobs: int | None = 1,
-        *,
-        chunk_size: int | None = None,
-    ) -> None:
+    def __init__(self, jobs: int | None = 1) -> None:
         self.jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self.chunk_size = chunk_size
 
-    # ------------------------------------------------------------------
-    # Core primitive
-    # ------------------------------------------------------------------
-    def map_evaluations(
+    def split(
+        self, network: CitationNetwork, test_ratio: float
+    ) -> TemporalSplit:
+        # Looked up in this module at call time, so perfbench's tracer
+        # can time the engine's splits (its ``eval.split`` span).
+        return split_by_ratio(network, test_ratio)
+
+    def map_chunks(
         self,
-        splits: Mapping[Any, TemporalSplit],
-        tasks: Sequence[GridTask],
-    ) -> list[float]:
-        """Evaluate ``tasks`` and return their scores *in task order*.
-
-        The ordering guarantee is what makes every reduction downstream
-        (sweeps, tie-breaks, series assembly) independent of worker
-        scheduling.
-        """
-        for task in tasks:
-            if task.split_key not in splits:
-                raise ConfigurationError(
-                    f"task references unknown split {task.split_key!r}"
-                )
-        if self.jobs == 1 or len(tasks) <= 1:
-            snapshots: dict[Any, SplitSnapshot] = {}
-            scores = []
-            for task in tasks:
-                snapshot = snapshots.get(task.split_key)
-                if snapshot is None:
-                    snapshot = SplitSnapshot(splits[task.split_key])
-                    snapshots[task.split_key] = snapshot
-                scores.append(
-                    snapshot.evaluate(task.method, task.params, task.metric)
-                )
-            return scores
-
-        workers = max(1, min(self.jobs, len(tasks)))
-        chunk = self.chunk_size
-        if chunk is None:
-            chunk = max(1, -(-len(tasks) // (4 * workers)))
+        splits: Mapping[Hashable, TemporalSplit],
+        chunks: Sequence[SweepChunk],
+    ) -> Iterable[list[tuple[float, ...]]]:
+        """Score ``chunks`` in submission order, on the pool if ``jobs > 1``."""
+        if self.jobs == 1 or len(chunks) <= 1:
+            return super().map_chunks(splits, chunks)
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(self.jobs, len(chunks)),
             initializer=_worker_init,
             initargs=(dict(splits),),
         ) as pool:
-            return list(pool.map(_worker_evaluate, tasks, chunksize=chunk))
-
-    # ------------------------------------------------------------------
-    # The paper's protocols, parallelised
-    # ------------------------------------------------------------------
-    def tune_method(
-        self,
-        method_name: str,
-        grid: Iterable[Mapping[str, Any]],
-        split: TemporalSplit,
-        metric: Metric,
-    ) -> TuningResult:
-        """Parallel :func:`repro.eval.tuning.tune_method`.
-
-        Same sweep order, same tie-breaking (earlier grid point wins on
-        equal scores), same result type — the only difference is which
-        process evaluated each point.
-
-        Raises
-        ------
-        EvaluationError
-            If the grid is empty.
-        """
-        points = [dict(params) for params in grid]
-        if not points:
-            raise EvaluationError(
-                f"empty parameter grid for method {method_name!r}"
-            )
-        tasks = [
-            GridTask(
-                split_key="tune", method=method_name,
-                params=params, metric=metric,
-            )
-            for params in points
-        ]
-        scores = self.map_evaluations({"tune": split}, tasks)
-        return _reduce_tuning(method_name, metric, points, scores)
-
-    def tune_methods(
-        self,
-        method_grids: Mapping[str, Iterable[Mapping[str, Any]]],
-        split: TemporalSplit,
-        metric: Metric,
-    ) -> dict[str, TuningResult]:
-        """Parallel :func:`repro.eval.tuning.tune_methods`.
-
-        All methods' grid points enter one task batch, so short grids
-        (RAM: 9 points) and long ones (AttRank: 250) share the pool
-        instead of serialising per method.
-        """
-        named_points = {
-            name: [dict(params) for params in grid]
-            for name, grid in method_grids.items()
-        }
-        for name, points in named_points.items():
-            if not points:
-                raise EvaluationError(
-                    f"empty parameter grid for method {name!r}"
-                )
-        tasks = [
-            GridTask(
-                split_key="tune", method=name, params=params, metric=metric
-            )
-            for name, points in named_points.items()
-            for params in points
-        ]
-        scores = self.map_evaluations({"tune": split}, tasks)
-        results: dict[str, TuningResult] = {}
-        cursor = 0
-        for name, points in named_points.items():
-            chunk = scores[cursor : cursor + len(points)]
-            cursor += len(points)
-            results[name] = _reduce_tuning(name, metric, points, chunk)
-        return results
-
-    def compare_over_ratios(
-        self,
-        network: CitationNetwork,
-        *,
-        dataset: str = "dataset",
-        metric: Metric | None = None,
-        test_ratios: Sequence[float] = DEFAULT_TEST_RATIOS,
-        methods: Sequence[str] | None = None,
-    ) -> ComparisonSeries:
-        """Parallel :func:`repro.eval.experiment.compare_over_ratios`.
-
-        Splits are computed once in the parent; the full cross product
-        (ratio x method x grid point) becomes one task batch.  Each
-        worker caches one snapshot per ratio it encounters.
-        """
-        chosen_metric = metric if metric is not None else SpearmanRho()
-        lineup = tuple(
-            methods if methods is not None else methods_available(network)
-        )
-        ratio_keys = [float(ratio) for ratio in test_ratios]
-        splits = {
-            ratio: split_by_ratio(network, ratio)
-            for ratio in dict.fromkeys(ratio_keys)
-        }
-        grids = {name: list(_grid_for_lineup(name)) for name in lineup}
-        tasks = [
-            GridTask(
-                split_key=ratio, method=name, params=params,
-                metric=chosen_metric,
-            )
-            for ratio in ratio_keys
-            for name in lineup
-            for params in grids[name]
-        ]
-        scores = self.map_evaluations(splits, tasks)
-
-        columns: dict[str, list[ComparisonCell]] = {name: [] for name in lineup}
-        cursor = 0
-        for ratio in ratio_keys:
-            for name in lineup:
-                points = grids[name]
-                chunk = scores[cursor : cursor + len(points)]
-                cursor += len(points)
-                result = _reduce_tuning(name, chosen_metric, points, chunk)
-                columns[name].append(
-                    ComparisonCell(method=name, x=ratio, result=result)
-                )
-        return ComparisonSeries(
-            dataset=dataset,
-            metric=chosen_metric.name,
-            x_label="test_ratio",
-            x_values=tuple(ratio_keys),
-            cells={name: tuple(cells) for name, cells in columns.items()},
-        )
-
-    def compare_over_k(
-        self,
-        network: CitationNetwork,
-        *,
-        dataset: str = "dataset",
-        test_ratio: float = 1.6,
-        k_values: Sequence[int] = (5, 10, 50, 100, 500),
-        methods: Sequence[str] | None = None,
-    ) -> ComparisonSeries:
-        """Parallel :func:`repro.eval.experiment.compare_over_k`.
-
-        One split, one task per (k, method, grid point); each k carries
-        its own :class:`~repro.eval.metrics.NDCG` metric, exactly as the
-        serial driver re-tunes per cut-off.
-        """
-        split = split_by_ratio(network, test_ratio)
-        lineup = tuple(
-            methods if methods is not None else methods_available(network)
-        )
-        grids = {name: list(_grid_for_lineup(name)) for name in lineup}
-        metrics = {k: NDCG(k) for k in k_values}
-        tasks = [
-            GridTask(
-                split_key="split", method=name, params=params,
-                metric=metrics[k],
-            )
-            for k in k_values
-            for name in lineup
-            for params in grids[name]
-        ]
-        scores = self.map_evaluations({"split": split}, tasks)
-
-        columns: dict[str, list[ComparisonCell]] = {name: [] for name in lineup}
-        cursor = 0
-        for k in k_values:
-            for name in lineup:
-                points = grids[name]
-                chunk = scores[cursor : cursor + len(points)]
-                cursor += len(points)
-                result = _reduce_tuning(name, metrics[k], points, chunk)
-                columns[name].append(
-                    ComparisonCell(method=name, x=float(k), result=result)
-                )
-        return ComparisonSeries(
-            dataset=dataset,
-            metric="ndcg",
-            x_label="k",
-            x_values=tuple(float(k) for k in k_values),
-            cells={name: tuple(cells) for name, cells in columns.items()},
-        )
+            return list(pool.map(_worker_score, chunks))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExperimentEngine(jobs={self.jobs})"
-
-
-def _reduce_tuning(
-    method_name: str,
-    metric: Metric,
-    points: Sequence[Mapping[str, Any]],
-    scores: Sequence[float],
-) -> TuningResult:
-    """Fold ordered (params, score) pairs into a :class:`TuningResult`.
-
-    Mirrors the serial loop of :func:`repro.eval.tuning.tune_method`
-    exactly: sweep in grid order, best = first strictly-greater score.
-    """
-    sweep: list[SettingScore] = []
-    best: SettingScore | None = None
-    for params, score in zip(points, scores):
-        entry = SettingScore(params=dict(params), score=float(score))
-        sweep.append(entry)
-        if best is None or entry.score > best.score:
-            best = entry
-    if best is None:
-        raise EvaluationError(
-            f"empty parameter grid for method {method_name!r}"
-        )
-    return TuningResult(
-        method=method_name,
-        metric=metric.name,
-        best=best,
-        sweep=tuple(sweep),
-    )

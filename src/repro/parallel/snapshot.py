@@ -1,17 +1,16 @@
 """Shared evaluation snapshots — one precomputed context per split.
 
-A grid search evaluates hundreds of parameterisations against one
-temporal split.  The expensive structure — the CSR transition matrix,
+The expensive structure of a grid search — the CSR transition matrix,
 the attention vectors of the grid's windows, the recency vector of the
 fitted decay rate — depends on the split's current network, not on the
-grid point.  :class:`SplitSnapshot` binds a split to that precomputed
-structure so that every evaluation (serial, or inside a worker process
-of :class:`~repro.parallel.ExperimentEngine`) hits warm caches.
+grid point.  :class:`SplitSnapshot` binds a split to that structure,
+built eagerly, and scores one parameterisation at a time through
+:func:`~repro.eval.tuning.evaluate_setting`.
 
 The heavy lifting lives in the per-network memoisation layer
-(:mod:`repro.graph.cache`); this class is the *policy*: what to build
-eagerly before a batch of grid points, and the single entry point
-(:meth:`SplitSnapshot.evaluate`) workers call per task.
+(:mod:`repro.graph.cache`), which the fused sweep of
+:mod:`repro.eval.tuning` warms on its first chunk without this class;
+a snapshot is for one-off point-by-point evaluations.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """Unit tests for repro.eval.tuning (grid search)."""
 
+from itertools import cycle, islice
+
 import pytest
 
+from repro.core.fused import FUSE_MIN_COLUMNS, stack_width
 from repro.errors import EvaluationError
+from repro.eval.grids import attrank_grid, futurerank_grid
 from repro.eval.metrics import NDCG, SpearmanRho
 from repro.eval.tuning import evaluate_setting, tune_method, tune_methods
+from repro.parallel import ExperimentEngine
 
 
 class TestEvaluateSetting:
@@ -66,3 +71,36 @@ class TestTuneMethods:
         )
         assert set(results) == {"RAM", "CR"}
         assert results["CR"].best_params["tau_dir"] == 2.0
+
+
+class TestChunkedSweep:
+    """A grid spanning several solver batches sweeps point for point.
+
+    The grid covers two full chunks plus a tail narrower than
+    ``FUSE_MIN_COLUMNS``, so the sweep takes both the stacked solve and
+    the tail's scalar fallback; every value must equal the scalar
+    reference bit for bit.
+    """
+
+    TAIL = 3
+
+    @pytest.mark.parametrize(
+        "method,grid", [("AR", attrank_grid), ("FR", futurerank_grid)]
+    )
+    def test_every_point_equals_evaluate_setting(
+        self, dblp_split, method, grid
+    ):
+        width = stack_width(dblp_split.current.n_papers)
+        assert self.TAIL < FUSE_MIN_COLUMNS
+        points = list(islice(cycle(grid()), 2 * width + self.TAIL))
+        metric = NDCG(50)
+        serial = tune_method(method, points, dblp_split, metric)
+        assert [entry.score for entry in serial.sweep] == [
+            evaluate_setting(method, params, dblp_split, metric)
+            for params in points
+        ]
+        pooled = ExperimentEngine(jobs=2).tune_method(
+            method, points, dblp_split, metric
+        )
+        assert pooled.sweep == serial.sweep
+        assert pooled.best == serial.best

@@ -14,6 +14,11 @@ bit equality: libm differences across platforms can legitimately move
 the last bits of ``exp``/``log``-derived values, and the point of the
 fixture is catching algorithmic drift, not glibc upgrades.  Rankings,
 however, must match exactly.
+
+``panels.json`` pins the tuning protocol the same way: two comparison
+panels over the frozen network, re-run through the experiment engine at
+one and two worker processes.  Every sweep value must match at the same
+tolerance, and every cell's best params and every winner exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_method
+from repro.eval.metrics import SpearmanRho
 from repro.graph.citation_network import CitationNetwork
+from repro.parallel import ExperimentEngine
 from repro.ranking import ranking_from_scores
 
 FIXTURE_DIR = os.path.join(
@@ -104,3 +111,54 @@ def test_method_matches_golden(label, golden_network, golden_scores):
         ranking_from_scores(expected),
         err_msg=f"{label}: ranking permutation drifted",
     )
+
+
+@pytest.fixture(scope="module")
+def golden_panels() -> dict:
+    return _load_json("panels.json")
+
+
+def _assert_panel_matches(panel, expected) -> None:
+    assert panel.metric == expected["metric"]
+    assert list(panel.x_values) == expected["x_values"]
+    assert [panel.winner_at(x) for x in panel.x_values] == expected["winners"]
+    assert list(panel.cells) == list(expected["cells"])
+    for method, cells in panel.cells.items():
+        for x, cell, pinned in zip(
+            panel.x_values, cells, expected["cells"][method]
+        ):
+            where = f"{method} at {x:g}"
+            assert dict(cell.result.best_params) == pinned["best_params"], where
+            sweep = [entry.score for entry in cell.result.sweep]
+            assert len(sweep) == len(pinned["sweep"]), where
+            np.testing.assert_allclose(
+                sweep, pinned["sweep"], rtol=RTOL, atol=ATOL, err_msg=where
+            )
+            np.testing.assert_allclose(
+                cell.result.best_score, pinned["best_score"],
+                rtol=RTOL, atol=ATOL, err_msg=where,
+            )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ratio_panel_matches_golden(jobs, golden_network, golden_panels):
+    expected = golden_panels["ratios"]
+    panel = ExperimentEngine(jobs=jobs).compare_over_ratios(
+        golden_network,
+        dataset="golden",
+        metric=SpearmanRho(),
+        test_ratios=tuple(expected["x_values"]),
+    )
+    _assert_panel_matches(panel, expected)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_k_panel_matches_golden(jobs, golden_network, golden_panels):
+    expected = golden_panels["k"]
+    panel = ExperimentEngine(jobs=jobs).compare_over_k(
+        golden_network,
+        dataset="golden",
+        test_ratio=1.6,
+        k_values=tuple(int(k) for k in expected["x_values"]),
+    )
+    _assert_panel_matches(panel, expected)

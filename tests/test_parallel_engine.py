@@ -1,10 +1,11 @@
 """Tests of repro.parallel: determinism across jobs, snapshot hoisting.
 
-The engine's contract is that fanning grid points over worker processes
+The engine's contract is that scoring sweep chunks on worker processes
 changes *nothing* about the results — same scores (bit-identical), same
 chosen hyper-parameters, same sweep order — for any ``--jobs`` value.
 These tests pin that contract down for jobs in {1, 2, 4} against the
-serial drivers in ``repro.eval``.
+in-process drivers in ``repro.eval``, and against the scalar reference
+``evaluate_setting`` point by point.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from repro.eval.experiment import compare_over_ratios
 from repro.eval.grids import attrank_grid, ram_grid
 from repro.eval.metrics import NDCG, SpearmanRho
 from repro.eval.split import split_by_ratio
-from repro.eval.tuning import tune_method, tune_methods
-from repro.parallel import (
-    ExperimentEngine,
-    GridTask,
-    SplitSnapshot,
-    resolve_jobs,
-)
+from repro.eval.tuning import evaluate_setting, tune_method, tune_methods
+from repro.parallel import ExperimentEngine, SplitSnapshot, resolve_jobs
 
 JOB_COUNTS = (1, 2, 4)
 
@@ -48,10 +44,6 @@ class TestResolveJobs:
         with pytest.raises(ConfigurationError, match="jobs"):
             resolve_jobs(-1)
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            ExperimentEngine(jobs=1, chunk_size=0)
-
 
 class TestSplitSnapshot:
     def test_warm_builds_shared_structure(self, hepth_split):
@@ -72,8 +64,6 @@ class TestSplitSnapshot:
         assert ("attention", 3.0, reference) in keys
 
     def test_evaluate_matches_evaluate_setting(self, hepth_split):
-        from repro.eval.tuning import evaluate_setting
-
         snapshot = SplitSnapshot(hepth_split)
         params = {"gamma": 0.4}
         direct = evaluate_setting("RAM", params, hepth_split, SpearmanRho())
@@ -185,44 +175,33 @@ class TestCompareDeterminism:
 
 
 class TestMapEvaluations:
-    def test_results_are_in_task_order(self, hepth_split):
-        engine = ExperimentEngine(jobs=2, chunk_size=1)
-        metric = SpearmanRho()
-        gammas = (0.1, 0.5, 0.9, 0.3, 0.7)
-        tasks = [
-            GridTask(
-                split_key="s", method="RAM",
-                params={"gamma": gamma}, metric=metric,
-            )
-            for gamma in gammas
-        ]
-        scores = engine.map_evaluations({"s": hepth_split}, tasks)
-        serial = [
-            SplitSnapshot(hepth_split).evaluate(
-                "RAM", {"gamma": gamma}, metric
-            )
-            for gamma in gammas
-        ]
-        assert scores == serial
+    """Chunks scored on the pool come back in submission order."""
 
-    def test_unknown_split_key_rejected(self, hepth_split):
-        engine = ExperimentEngine(jobs=1)
-        task = GridTask(
-            split_key="missing", method="RAM",
-            params={"gamma": 0.5}, metric=SpearmanRho(),
+    def test_results_are_in_task_order(self, hepth_split):
+        metric = SpearmanRho()
+        # One chunk per method, so the pool scores three chunks.
+        grids = {
+            "RAM": [{"gamma": g} for g in (0.1, 0.5, 0.9, 0.3, 0.7)],
+            "CR": [{"alpha": 0.5, "tau_dir": t} for t in (6.0, 2.0, 4.0)],
+            "PR": [{"alpha": a} for a in (0.3, 0.5)],
+        }
+        results = ExperimentEngine(jobs=2).tune_methods(
+            grids, hepth_split, metric
         )
-        with pytest.raises(ConfigurationError, match="unknown split"):
-            engine.map_evaluations({"s": hepth_split}, [task])
+        assert list(results) == list(grids)
+        for name, points in grids.items():
+            assert [entry.params for entry in results[name].sweep] == points
+            assert [entry.score for entry in results[name].sweep] == [
+                evaluate_setting(name, params, hepth_split, metric)
+                for params in points
+            ]
 
     def test_worker_errors_propagate(self, hepth_split):
-        engine = ExperimentEngine(jobs=2)
-        tasks = [
-            GridTask(
-                split_key="s", method="RAM",
-                params={"gamma": 2.0},  # invalid: gamma must be <= 1
-                metric=SpearmanRho(),
-            )
-            for _ in range(2)
-        ]
+        grids = {
+            "RAM": [{"gamma": 2.0}],  # invalid: gamma must be <= 1
+            "CR": [{"alpha": 0.5, "tau_dir": 2.0}],
+        }
         with pytest.raises(ConfigurationError, match="gamma"):
-            engine.map_evaluations({"s": hepth_split}, tasks)
+            ExperimentEngine(jobs=2).tune_methods(
+                grids, hepth_split, SpearmanRho()
+            )

@@ -14,8 +14,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Installs the tracer, drives the gateway's read and write paths once
-#: on the toy network, and prints each span name with the largest
-#: ``queries`` count its spans recorded.
+#: on the toy network and the ``tune`` workload's protocol on a tiny
+#: corpus, and prints each span name with the largest ``queries`` count
+#: its spans recorded.
 _DRIVE = r"""
 import asyncio
 import json
@@ -55,6 +56,17 @@ async def main():
 
 
 asyncio.run(main())
+
+from repro.eval import NDCG
+from repro.parallel import ExperimentEngine
+from repro.synth import generate_dataset
+
+ExperimentEngine(jobs=1).compare_over_ratios(
+    generate_dataset("hep-th", size="tiny", seed=42),
+    metric=NDCG(50),
+    test_ratios=(1.6,),
+    methods=("AR", "RAM"),
+)
 seen = {}
 for _, name, _, _, _, _, extra in recorder.spans:
     queries = (extra or {}).get("queries", 0)
@@ -86,6 +98,9 @@ def test_every_wrapped_boundary_is_found_and_driven():
         "shard.sync",
         "shard.order",
         "shard.rank_count",
+        "eval.split",
+        "solver.solve",
+        "eval.metric",
     ):
         assert name in seen, name
     # Three coalesced submits form one batch, and the batch spans read

@@ -8,6 +8,8 @@ then assert the structural invariants of the paper:
   premise),
 * attention / recency / AttRank vectors are probability vectors,
 * AttRank's fixed point is independent of the starting vector,
+* AttRank and PageRank match a dense closed-form solve built from the
+  paper's definition of ``S``, scalar and stacked,
 * metric ranges and identities (Spearman symmetry, nDCG bounds),
 * split ground truth is consistent under every ratio,
 * stream-replay equivalence: a finalized micro-batched replay of any
@@ -24,7 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attention import attention_vector
+from repro.baselines.pagerank import PageRank
 from repro.core.attrank import AttRank, attrank_matrix
+from repro.core.fused import FUSE_MIN_COLUMNS, solve_methods
 from repro.core.power_iteration import power_iterate
 from repro.core.recency import recency_vector
 from repro.eval.metrics import ndcg_at_k, spearman_rho
@@ -224,8 +228,6 @@ def test_theorem1_fixed_point_is_start_independent(network, seed):
     ``alpha / (1 - alpha) * tol`` of the fixed point, and two such solves
     within twice that.
     """
-    from repro.baselines.pagerank import PageRank
-
     rng = np.random.default_rng(seed)
     for make in (
         lambda: AttRank(
@@ -242,6 +244,92 @@ def test_theorem1_fixed_point_is_start_independent(network, seed):
             method.start_vector = rng.dirichlet(np.ones(network.n_papers))
             result = method.scores(network)
             assert np.abs(result - reference).sum() <= bound
+
+
+def paper_s(network: CitationNetwork) -> np.ndarray:
+    """Dense ``S`` from the paper's definition, not from the library.
+
+    Column ``j`` spreads ``1/k_j`` over the ``k_j`` papers ``j`` cites;
+    a paper citing nothing (a dangling column) spreads ``1/n`` over all.
+    """
+    n = network.n_papers
+    dense = np.zeros((n, n))
+    references = np.zeros(n)
+    for source in network.citing:
+        references[source] += 1
+    for source, target in zip(network.citing, network.cited):
+        dense[target, source] += 1.0 / references[source]
+    dense[:, references == 0] = 1.0 / n
+    return dense
+
+
+def closed_form(dense_s: np.ndarray, alpha: float, jump: np.ndarray) -> np.ndarray:
+    """The fixed point of ``x <- (alpha S x + j) / |alpha S x + j|_1``.
+
+    With ``x`` a probability vector the normaliser is
+    ``c = alpha + |j|_1``, so the fixed point solves
+    ``(cI - alpha S) x = j``.  The all-zero attention vector that
+    ``jump_vectors`` returns at ``beta = 0`` needs no special case.
+    """
+    c = alpha + np.abs(jump).sum()
+    return np.linalg.solve(c * np.eye(len(jump)) - alpha * dense_s, jump)
+
+
+def attrank_closed_form(network, dense_s, method: AttRank) -> np.ndarray:
+    attention, recency = method.jump_vectors(network)
+    jump = method.beta * attention + method.gamma * recency
+    return closed_form(dense_s, method.alpha, jump)
+
+
+#: AttRank settings with alpha > 0 (alpha = 0 is a closed form already).
+attrank_settings = st.tuples(
+    st.integers(1, 5), st.integers(0, 9), st.sampled_from((1.0, 2.0, 3.0))
+).filter(lambda s: s[0] + s[1] <= 10).map(
+    lambda s: (s[0] / 10, s[1] / 10, round(1.0 - s[0] / 10 - s[1] / 10, 10), s[2])
+)
+
+
+@given(tied_dags(), attrank_settings, st.sampled_from((0.3, 0.5, 0.85)))
+@settings(max_examples=40, deadline=None)
+def test_power_iteration_matches_closed_form(network, setting, pr_alpha):
+    """AttRank's and PageRank's ``scores()`` reach the dense solve."""
+    alpha, beta, gamma, window = setting
+    dense_s = paper_s(network)
+    method = AttRank(
+        alpha=alpha, beta=beta, gamma=gamma, attention_window=window,
+        decay_rate=-0.5,
+    )
+    np.testing.assert_allclose(
+        method.scores(network),
+        attrank_closed_form(network, dense_s, method),
+        rtol=0, atol=1e-9,
+    )
+    n = network.n_papers
+    np.testing.assert_allclose(
+        PageRank(alpha=pr_alpha).scores(network),
+        closed_form(dense_s, pr_alpha, np.full(n, (1.0 - pr_alpha) / n)),
+        rtol=0, atol=1e-9,
+    )
+
+
+@given(tied_dags(), st.lists(attrank_settings, min_size=FUSE_MIN_COLUMNS, max_size=12))
+@settings(max_examples=20, deadline=None)
+def test_fused_stack_matches_closed_form(network, settings_):
+    """A stacked ``solve_methods`` pass reaches the dense solve per column."""
+    dense_s = paper_s(network)
+    methods = [
+        AttRank(
+            alpha=alpha, beta=beta, gamma=gamma, attention_window=window,
+            decay_rate=-0.5,
+        )
+        for alpha, beta, gamma, window in settings_
+    ]
+    for method, (scores, _info) in zip(methods, solve_methods(network, methods)):
+        np.testing.assert_allclose(
+            scores,
+            attrank_closed_form(network, dense_s, method),
+            rtol=0, atol=1e-9,
+        )
 
 
 # ---------------------------------------------------------------------------
