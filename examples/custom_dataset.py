@@ -1,8 +1,9 @@
 """Rank your own citation dataset with AttRank.
 
 Demonstrates the full ingestion path on files you might have on disk:
-builds a small corpus programmatically with NetworkBuilder, saves it to
-the library's .npz format, reloads it, and ranks it.  The same flow
+builds a small corpus programmatically with NetworkBuilder, saves it as
+a network file (the library's checksummed snapshot layout), reloads it,
+and ranks it.  The same flow
 works with the real-format loaders:
 
     from repro.io import load_hepth, load_aminer, load_csv_dataset
@@ -58,7 +59,7 @@ def main() -> None:
     # Round-trip through the on-disk format (what you would do once
     # after parsing a large dump).
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "corpus.npz")
+        path = os.path.join(tmp, "corpus.snap")
         save_network(network, path)
         network = load_network(path)
         print(f"reloaded from {os.path.basename(path)}")

@@ -3,7 +3,7 @@
 A *fault point* is a named location in a real code path where the
 chaos harness may inject a failure: the checkpoint commit protocol's
 tmp-write/fsync/``os.replace`` boundaries, the micro-batch apply and
-snapshot-swap sites, the ``.npz`` read/write paths, and the gateway's
+snapshot-swap sites, the snapshot-file read/write paths, and the gateway's
 socket read/write.  Each site calls :func:`chaos_point` with its
 registered name; when no :class:`~repro.chaos.FaultInjector` is armed
 this is a single module-global ``None`` check — the production hot
@@ -94,20 +94,20 @@ class FaultPoint:
 
 #: Every injection site threaded into the codebase, in path order.
 FAULT_POINTS: tuple[FaultPoint, ...] = (
-    # --- serve/score_index.py: the .npz write path -------------------
+    # --- io/layout.py: the one atomic snapshot writer ------------------
     FaultPoint(
         name="index.save.write",
-        module="repro.serve.score_index",
+        module="repro.io.layout",
         description=(
-            "crash after the temp .npz is written but before fsync — "
-            "page cache holds bytes the disk may not"
+            "crash after a snapshot's temp file is written but before "
+            "fsync — page cache holds bytes the disk may not"
         ),
         kinds=("crash",),
         scenario="checkpoint",
     ),
     FaultPoint(
         name="index.save.fsync",
-        module="repro.serve.score_index",
+        module="repro.io.layout",
         description=(
             "crash after fsync but before os.replace — a durable temp "
             "file that was never committed"
@@ -117,20 +117,22 @@ FAULT_POINTS: tuple[FaultPoint, ...] = (
     ),
     FaultPoint(
         name="index.save.replace",
-        module="repro.serve.score_index",
+        module="repro.io.layout",
         description=(
-            "crash immediately after os.replace — the index file is "
+            "crash immediately after os.replace — the snapshot file is "
             "committed but nothing after it ran"
         ),
         kinds=("crash",),
         scenario="checkpoint",
     ),
+    # --- serve/score_index.py: the index read path --------------------
     FaultPoint(
         name="index.load",
         module="repro.serve.score_index",
         description=(
-            "crash at .npz read time — a restart that dies while "
-            "reloading its serving state must leave the files reusable"
+            "crash as ScoreIndex.load starts reading — a restart that "
+            "dies while reloading its serving state must leave the "
+            "files reusable"
         ),
         kinds=("crash",),
         scenario="checkpoint",

@@ -2,17 +2,18 @@
 
 Subcommands
 -----------
-``generate``   Generate a synthetic dataset profile and save it as .npz.
+``generate``   Generate a synthetic dataset profile and save it as a
+               network file.
 ``summarize``  Print headline statistics of a saved or generated network.
 ``rank``       Score a network with any registered method, print the top-k.
 ``evaluate``   Split a network by test ratio and score methods against STI.
 ``horizons``   Print the Table-2 ratio -> time-horizon mapping.
 ``popular``    Print the Table-1 recently-popular overlap.
 ``index``      Build a score index file — or, with ``--shards N``, a
-               sharded index directory (one ``.npz`` per shard).
+               sharded score store file.
 ``update``     Apply a JSON delta to an index with warm-started re-solves.
 ``query``      Serve top-k queries (pagination, year filter) from an
-               index file or shard directory; ``--batch FILE`` executes
+               index or store file; ``--batch FILE`` executes
                a JSON batch of heterogeneous queries through the
                :class:`~repro.serve.QueryEngine`.
 ``stream``     Event-log streaming: ``extract`` a JSONL log from a
@@ -43,7 +44,7 @@ Subcommands
                invariant report (the CI chaos job).
 
 Batch commands accept either ``--dataset <name>`` (synthetic profile) or
-``--input <file.npz>`` (a saved network); the serving commands
+``--input <file.snap>`` (a saved network); the serving commands
 (``update``, ``query``) operate on an index built by ``index``.
 """
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -67,6 +67,7 @@ from repro.eval.metrics import NDCG, SpearmanRho
 from repro.eval.split import DEFAULT_TEST_RATIOS, split_by_ratio
 from repro.graph.citation_network import CitationNetwork
 from repro.graph.statistics import summarize
+from repro.io.layout import read_kind
 from repro.io.serialize import load_network, save_network
 from repro.serve import (
     DeltaUpdater,
@@ -92,7 +93,7 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
         choices=sorted(DATASET_PROFILES),
         help="synthetic dataset profile to generate",
     )
-    source.add_argument("--input", help="path to a saved .npz network")
+    source.add_argument("--input", help="path to a saved network file")
     parser.add_argument(
         "--size",
         choices=sorted(SIZE_FACTORS),
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "dataset", choices=sorted(DATASET_PROFILES), help="profile name"
     )
-    gen.add_argument("output", help="output .npz path")
+    gen.add_argument("output", help="output network file path")
     gen.add_argument(
         "--size", choices=sorted(SIZE_FACTORS), default="small"
     )
@@ -195,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         required=True,
         help=(
-            "output index .npz (or, with --shards > 1, an output "
-            "directory of per-shard .npz files)"
+            "output index file (with --shards > 1, a sharded score "
+            "store file)"
         ),
     )
     index.add_argument(
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "partition the index across N shards (default 1 = single "
-            ".npz file)"
+            "partition the index across N shards of one store file "
+            "(default 1 = an index file)"
         ),
     )
     index.add_argument(
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="apply a JSON delta to an index (warm-started re-solve)",
     )
-    update.add_argument("--index", required=True, help="index .npz to update")
+    update.add_argument("--index", required=True, help="index file to update")
     update.add_argument(
         "--delta",
         required=True,
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--index",
         required=True,
-        help="index .npz (or sharded index directory) to query",
+        help="index or store file to query",
     )
     query.add_argument(
         "--batch",
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--index-out",
             default=None,
-            help="save the final score index to this .npz path",
+            help="save the final score index to this path",
         )
         parser.add_argument(
             "--no-finalize",
@@ -451,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument(
         "--index",
         required=True,
-        help="index .npz (or sharded index directory) to serve",
+        help="index or store file to serve",
     )
     serve_http.add_argument("--host", default="127.0.0.1")
     serve_http.add_argument(
@@ -741,11 +742,11 @@ def build_parser() -> argparse.ArgumentParser:
         "apply the rest live during the run)",
     )
     load_source.add_argument(
-        "--input", help="saved .npz network (stream-update mode)"
+        "--input", help="saved network file (stream-update mode)"
     )
     load_source.add_argument(
         "--index",
-        help="pre-built index .npz or shard directory (static mode)",
+        help="pre-built index or store file (static mode)",
     )
     loadgen.add_argument(
         "--size",
@@ -1158,7 +1159,7 @@ def _command_index(args: argparse.Namespace) -> int:
             f"wrote sharded index v{index.version}: "
             f"{network.n_papers} papers, {len(index.labels)} methods, "
             f"{store.n_shards} {args.partitioner}-partitioned shards "
-            f"({populations} papers) to {args.output}/"
+            f"({populations} papers) to {args.output}"
         )
         return 0
     index.save(args.output)
@@ -1170,11 +1171,11 @@ def _command_index(args: argparse.Namespace) -> int:
 
 
 def _command_update(args: argparse.Namespace) -> int:
-    if os.path.isdir(args.index):
+    if read_kind(args.index) == "store":
         print(
-            "error: repro update operates on a single-file index; "
-            "rebuild sharded stores with repro index --shards after "
-            "updating the source index",
+            "error: repro update operates on a single-file index, not "
+            "a store file; rebuild sharded stores with repro index "
+            "--shards after updating the source index",
             file=sys.stderr,
         )
         return 2
@@ -1216,8 +1217,8 @@ def _command_update(args: argparse.Namespace) -> int:
 
 
 def _serving_backend(path: str, jobs: int | None):
-    """Open an index file or shard directory as a serving backend."""
-    if os.path.isdir(path):
+    """Open an index or store file (by its header's kind) for serving."""
+    if read_kind(path) == "store":
         # A sharded store loads lazily and serves through the engine.
         return QueryEngine(ShardedScoreIndex.load(path), jobs=jobs)
     return RankingService(ScoreIndex.load(path), jobs=jobs)
@@ -1815,19 +1816,14 @@ def _command_loadgen(args: argparse.Namespace) -> int:
         )
     elif args.index:
         backend = _serving_backend(args.index, jobs=1)
-        labels = (
-            backend.index.labels
-            if isinstance(backend, RankingService)
-            else backend.sharded.labels
-        )
         report = run_load_static(
             backend,
-            labels,
+            backend.sharded.snapshot().labels,
             clients=args.clients,
             requests_per_client=args.requests,
             seed=args.seed,
             config=config,
-            verify=verify and isinstance(backend, RankingService),
+            verify=verify,
         )
     else:
         from repro.stream import EventLog

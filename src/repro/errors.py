@@ -23,12 +23,12 @@ class DataFormatError(ReproError):
 class IndexIntegrityError(DataFormatError):
     """A persisted score index is internally inconsistent.
 
-    Raised when an index (or shard) file parses as the right format but
-    its pieces disagree: method metadata naming unknown or duplicate
-    labels, score vectors missing or undeclared, version numbers that
-    contradict each other across shard files.  Subclasses
-    :class:`DataFormatError`, so callers catching format problems
-    broadly keep working.
+    Raised by the index and store loaders for a file that is damaged
+    (a checksum fails), malformed (its header or array table), or
+    whose pieces disagree: method metadata naming unknown or duplicate
+    labels, score vectors missing or undeclared, shard columns of
+    mismatched lengths.  Subclasses :class:`DataFormatError`, so
+    callers catching format problems broadly keep working.
     """
 
 
@@ -74,12 +74,12 @@ class GatewayError(ReproError):
 class SharedStoreError(ReproError):
     """The shared-memory score store protocol was violated.
 
-    Raised when a generation segment or board is missing, malformed,
-    or from an incompatible layout version; when a reader asks for a
-    generation before anything was published; or when the generation
-    board runs out of slots because readers pin too many superseded
-    generations.  Crashed *workers* never surface as this type — the
-    supervisor handles those — only protocol misuse does.
+    Raised when a generation segment or board is missing, damaged,
+    malformed, or from an incompatible layout version; when a reader
+    asks for a generation before anything was published; or when the
+    generation board runs out of slots because readers pin too many
+    superseded generations.  Crashed *workers* never surface as this
+    type — the supervisor handles those — only protocol misuse does.
     """
 
 

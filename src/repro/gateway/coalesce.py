@@ -19,8 +19,8 @@ batch stalls the loop for its whole duration, and admission decisions,
 socket reads and response writes wait behind it; requests whose bytes
 arrive meanwhile are parsed afterwards and park together for the next
 batch.  Slow batches are the exception: an injected
-``gateway.batch.execute`` delay, or the first read of a shard file in
-the detached shard-directory mode.  When more requests are pending
+``gateway.batch.execute`` delay, or the first touch of a shard of a
+store file, which decodes that shard's ids.  When more requests are pending
 than one batch takes, the worker yields to the loop between batches,
 so each batch's responses are written before the next batch runs.
 Only the stream updater's micro-batches

@@ -247,10 +247,12 @@ def _canon(payload: Any) -> Any:
     return json.loads(json.dumps(payload))
 
 
-def _direct_payload(
-    service: RankingService, request: Mapping[str, Any]
-) -> dict[str, Any]:
-    """The payload a direct service call produces for one request."""
+def _direct_payload(service: Any, request: Mapping[str, Any]) -> dict[str, Any]:
+    """The payload a direct call produces for one request.
+
+    ``service`` is a :class:`~repro.serve.RankingService` or a
+    :class:`~repro.serve.QueryEngine`; both answer the same reads.
+    """
     from repro.serve.batch import result_payload
 
     kind = request["kind"]
@@ -531,38 +533,31 @@ def run_load_static(
     """Load-test a static backend (no live updates).
 
     ``backend`` is a :class:`~repro.serve.RankingService` or a
-    :class:`~repro.serve.QueryEngine` over a detached shard store;
-    verification (service backends only) replays the recorded traffic
-    as direct calls at the single served version.
+    :class:`~repro.serve.QueryEngine` (over a store file, say): both
+    expose their shard store as ``.sharded`` and the same ``top_k``,
+    ``compare`` and ``paper`` reads.  The id sample and the year span
+    come from the store's snapshot, and verification replays the
+    recorded traffic as direct calls on the backend at its single
+    served version.
     """
     if clients < 1:
         raise GatewayError(f"clients must be >= 1, got {clients}")
-    from repro.serve.batch import QueryEngine
-
-    if isinstance(backend, RankingService):
-        network = backend.index.network
-        ids = list(network.paper_ids)
-        times = network.publication_times
-        year_span = (float(times.min()), float(times.max()))
-    elif isinstance(backend, QueryEngine):
-        snap = backend.sharded.snapshot()
-        ids = [pid for shard in snap.iter_shards() for pid in shard.paper_ids]
-        # Empty shards (sparse hash buckets, thin year ranges) carry
-        # no times; they must not reach .min()/.max().
-        shard_times = [
-            float(t)
-            for shard in snap.iter_shards()
-            if shard.n_papers
-            for t in (shard.times.min(), shard.times.max())
-        ]
-        if not shard_times:
-            raise GatewayError("cannot load-test an empty shard store")
-        year_span = (min(shard_times), max(shard_times))
-    else:
+    sharded = getattr(backend, "sharded", None)
+    if sharded is None:
         raise GatewayError(
             "backend must be a RankingService or QueryEngine, got "
             f"{type(backend).__name__}"
         )
+    # Empty shards (sparse hash buckets, thin year ranges) carry no
+    # times; they must not reach .min()/.max().
+    shards = [s for s in sharded.snapshot().iter_shards() if s.n_papers]
+    if not shards:
+        raise GatewayError("cannot load-test an empty shard store")
+    ids = [pid for shard in shards for pid in shard.paper_ids]
+    year_span = (
+        min(float(shard.times.min()) for shard in shards),
+        max(float(shard.times.max()) for shard in shards),
+    )
     sample = ids[:: max(1, len(ids) // 64)]
     plans = _client_plans(
         methods, sample, year_span,
@@ -574,7 +569,7 @@ def run_load_static(
     records, histogram, elapsed = _execute_run(server, plans)
 
     verified = mismatches = 0
-    if verify and isinstance(backend, RankingService):
+    if verify:
         verified, mismatches = _verify_records(
             records,
             lambda version: (

@@ -6,7 +6,9 @@ Real-data entry points (the formats of the paper's four corpora):
 * :func:`load_aminer` — AMiner/DBLP V-format citation dumps.
 * :func:`load_csv_dataset` — APS/PMC-style metadata + citation CSVs.
 * :func:`load_edge_list` — generic whitespace/CSV edge + dates files.
-* :func:`save_network` / :func:`load_network` — fast ``.npz`` round-trip.
+* :func:`save_network` / :func:`load_network` — a network file in the
+  one checksummed snapshot layout of :mod:`repro.io.layout`, which
+  index files, store files and shared-memory generations share.
 """
 
 from repro.io.aminer import load_aminer

@@ -1,32 +1,32 @@
-"""Binary save/load of citation networks (single ``.npz`` file).
+"""Binary save/load of citation networks, in the one snapshot layout.
 
 Loaders and generators can be slow on large corpora; serialising the
 parsed :class:`~repro.graph.CitationNetwork` lets experiments reload it
-in milliseconds.  The format is a plain NumPy ``.npz`` archive:
+quickly.  A network file is a ``network`` snapshot of
+:mod:`repro.io.layout` (magic, checksummed JSON header, 64-byte-aligned
+arrays) holding:
 
-* ``paper_ids``  — unicode array,
-* ``pub_time``   — float64,
+* ``paper_ids/values`` + ``paper_ids/ends`` — the ids' UTF-8 bytes and
+  their end offsets,
+* ``pub_time`` — float64,
 * ``citing`` / ``cited`` — int64 edge arrays,
-* ``author_indptr`` / ``author_indices`` — CSR-encoded author lists
+* ``authors/values`` + ``authors/ends`` — author indices per paper
   (present only when the network has author data),
-* ``venues``     — int64 (present only with venue data),
-* ``format_version`` — for forward compatibility.
+* ``venues`` — int64 (present only with venue data).
 
 The payload helpers :func:`network_payload` / :func:`network_from_payload`
-convert between a network and its array dictionary without touching the
-filesystem; composite formats embedding a network (the score index of
-:mod:`repro.serve`) build on them.
+convert between a network and those arrays without touching the
+filesystem; the score index of :mod:`repro.serve` embeds a network
+through them.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Mapping
-
 import numpy as np
 
-from repro.errors import DataFormatError
+from repro.errors import DataFormatError, GraphError
 from repro.graph.citation_network import CitationNetwork
+from repro.io.layout import FORMAT_VERSION, Decoded, encode, put_ids, put_ragged, read
 
 __all__ = [
     "save_network",
@@ -36,84 +36,76 @@ __all__ = [
     "FORMAT_VERSION",
 ]
 
-FORMAT_VERSION = 1
-
 
 def network_payload(network: CitationNetwork) -> dict[str, np.ndarray]:
-    """The array dictionary encoding ``network`` in the ``.npz`` format."""
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.asarray([FORMAT_VERSION], dtype=np.int64),
-        "paper_ids": np.asarray(network.paper_ids, dtype=np.str_),
-        "pub_time": network.publication_times,
-        "citing": network.citing,
-        "cited": network.cited,
-    }
+    """The arrays encoding ``network`` in the snapshot layout."""
+    payload: dict[str, np.ndarray] = {}
+    put_ids(payload, "paper_ids", network.paper_ids)
+    payload["pub_time"] = network.publication_times
+    payload["citing"] = network.citing
+    payload["cited"] = network.cited
     if network.paper_authors is not None:
-        lengths = [len(authors) for authors in network.paper_authors]
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.asarray(lengths, dtype=np.int64)))
+        put_ragged(
+            payload,
+            "authors",
+            np.asarray(
+                [a for authors in network.paper_authors for a in authors],
+                dtype=np.int64,
+            ),
+            [len(authors) for authors in network.paper_authors],
         )
-        indices = np.asarray(
-            [a for authors in network.paper_authors for a in authors],
-            dtype=np.int64,
-        )
-        payload["author_indptr"] = indptr
-        payload["author_indices"] = indices
     if network.paper_venues is not None:
         payload["venues"] = network.paper_venues
     return payload
 
 
-def network_from_payload(
-    arrays: Mapping[str, np.ndarray], *, source: str = "payload"
-) -> CitationNetwork:
-    """Rebuild a network from an array dictionary (or open archive).
+def network_from_payload(decoded: Decoded) -> CitationNetwork:
+    """Rebuild a network from the arrays of a decoded snapshot.
 
-    ``source`` names the origin in error messages.
+    Takes the network's arrays out of ``decoded``; the caller checks
+    that nothing else is left (:meth:`Decoded.finish`).  The network
+    copies what it keeps, so it does not pin the decoded buffer.
 
     Raises
     ------
     DataFormatError
-        If mandatory arrays are missing or the declared format version
-        is unsupported.
+        Of the type ``decoded`` names, if arrays are missing or of the
+        wrong dtype or length, or describe an invalid network.
     """
-    members = set(arrays.keys()) if hasattr(arrays, "keys") else set(arrays)
-    required = {"format_version", "paper_ids", "pub_time", "citing", "cited"}
-    missing = required - members
-    if missing:
-        raise DataFormatError(
-            f"{source}: not a repro network payload "
-            f"(missing {sorted(missing)})"
-        )
-    version = int(arrays["format_version"][0])
-    if version != FORMAT_VERSION:
-        raise DataFormatError(
-            f"{source}: unsupported format version {version} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    paper_authors = None
-    if "author_indptr" in members:
-        indptr = arrays["author_indptr"]
-        indices = arrays["author_indices"]
-        paper_authors = [
-            tuple(int(a) for a in indices[indptr[i]: indptr[i + 1]])
-            for i in range(len(indptr) - 1)
-        ]
-    venues = arrays["venues"] if "venues" in members else None
-    return CitationNetwork(
-        paper_ids=[str(p) for p in arrays["paper_ids"]],
-        publication_times=arrays["pub_time"],
-        citing=arrays["citing"],
-        cited=arrays["cited"],
-        paper_authors=paper_authors,
-        paper_venues=venues,
-        validate=True,
+    pub_time = decoded.take("pub_time", "<f8")
+    n_papers = pub_time.size
+    paper_ids = decoded.decode_ids(
+        *decoded.take_ragged("paper_ids", "|u1", n_papers)
     )
+    citing = decoded.take("citing", "<i8")
+    cited = decoded.take("cited", "<i8", citing.size)
+    paper_authors = None
+    if "authors/ends" in decoded.arrays:
+        values, ends = decoded.take_ragged("authors", "<i8", n_papers)
+        flat, stops = values.tolist(), ends.tolist()
+        paper_authors = [flat[a:b] for a, b in zip([0, *stops], stops)]
+    venues = (
+        decoded.take("venues", "<i8", n_papers)
+        if "venues" in decoded.arrays
+        else None
+    )
+    try:
+        return CitationNetwork(
+            paper_ids=paper_ids,
+            publication_times=pub_time,
+            citing=citing,
+            cited=cited,
+            paper_authors=paper_authors,
+            paper_venues=venues,
+            validate=True,
+        )
+    except GraphError as error:
+        raise decoded.fail(f"invalid network ({error})") from None
 
 
 def save_network(network: CitationNetwork, path: str) -> None:
-    """Write ``network`` to ``path`` (conventionally ``*.npz``)."""
-    np.savez_compressed(path, **network_payload(network))
+    """Write ``network`` to exactly ``path``, atomically."""
+    encode("network", {}, network_payload(network)).save(path)
 
 
 def load_network(path: str) -> CitationNetwork:
@@ -122,12 +114,10 @@ def load_network(path: str) -> CitationNetwork:
     Raises
     ------
     DataFormatError
-        If the file is missing, lacks mandatory arrays, or declares an
-        unsupported format version.
+        If the file is missing, fails a checksum, is not a network
+        file, or its header or arrays are malformed.
     """
-    if not os.path.exists(path):
-        raise DataFormatError(f"file not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        return network_from_payload(
-            {name: archive[name] for name in archive.files}, source=path
-        )
+    decoded = read(path, kind="network", error=DataFormatError)
+    network = network_from_payload(decoded)
+    decoded.finish()
+    return network

@@ -7,14 +7,16 @@ from exactly such harvesting cycles — and serves them for >100M
 publications).  This package turns the offline bench into that service:
 
 * :class:`ScoreIndex` — versioned per-method score vectors bound to a
-  network snapshot, persistable as one ``.npz`` file;
+  network snapshot, persistable as one checksummed snapshot file
+  (:mod:`repro.io.layout`);
 * :class:`NetworkDelta` / :class:`DeltaUpdater` — batches of new papers
   and citations, applied by extending the snapshot in place (existing
   paper indices are preserved) and re-solving each method
   **warm-started** from its previous solution;
 * :class:`ShardedScoreIndex` — the serving state partitioned across N
-  shards (hash or year-range), each shard its own lazily-loadable
-  ``.npz`` file, with delta growth routed to the affected shards;
+  shards (hash or year-range), persisted as one store file whose
+  shards materialise lazily, and placed in shared memory as the same
+  bytes; delta growth is routed to the affected shards;
 * :class:`QueryEngine` — batches of heterogeneous queries
   (:class:`TopKQuery` / :class:`PaperQuery` / :class:`CompareQuery`)
   planned per shard, executed concurrently, and k-way heap-merged into
@@ -24,8 +26,8 @@ publications).  This package turns the offline bench into that service:
   lookups behind an LRU result cache, delegating reads to the engine
   (the unsharded service is the ``shards=1`` special case).
 
-CLI: ``repro index`` builds an index file (``--shards N`` for a shard
-directory), ``repro update`` applies a delta, ``repro query`` serves
+CLI: ``repro index`` builds an index file (``--shards N`` for a store
+file), ``repro update`` applies a delta, ``repro query`` serves
 reads (``--batch FILE`` for a query batch).
 """
 
@@ -54,14 +56,9 @@ from repro.serve.results import (
     QueryResult,
     RankedPaper,
 )
-from repro.serve.score_index import (
-    INDEX_FORMAT_VERSION,
-    MethodEntry,
-    ScoreIndex,
-)
+from repro.serve.score_index import MethodEntry, ScoreIndex
 from repro.serve.service import RankingService
 from repro.serve.shm import (
-    SHM_FORMAT_VERSION,
     GenerationBoard,
     SharedStorePublisher,
     SharedStoreReader,
@@ -70,8 +67,6 @@ from repro.serve.shm import (
 )
 from repro.serve.shard import (
     PARTITIONERS,
-    SHARD_FORMAT_VERSION,
-    SHARD_MANIFEST,
     Shard,
     ShardedScoreIndex,
     StoreSnapshot,
@@ -84,12 +79,9 @@ __all__ = [
     "NetworkDelta",
     "UpdateReport",
     "delta_between",
-    "INDEX_FORMAT_VERSION",
     "MethodEntry",
     "ScoreIndex",
     "PARTITIONERS",
-    "SHARD_FORMAT_VERSION",
-    "SHARD_MANIFEST",
     "Shard",
     "ShardedScoreIndex",
     "StoreSnapshot",
@@ -108,7 +100,6 @@ __all__ = [
     "QueryResult",
     "RankedPaper",
     "RankingService",
-    "SHM_FORMAT_VERSION",
     "GenerationBoard",
     "SharedStorePublisher",
     "SharedStoreReader",

@@ -10,9 +10,11 @@ is the unit of state the serving layer works with:
 * :class:`~repro.serve.DeltaUpdater` refreshes it in place after a
   delta, warm-starting every method that supports it from its previous
   solution,
-* :meth:`ScoreIndex.save` / :meth:`ScoreIndex.load` persist it as a
-  single ``.npz`` file (network payload + score vectors + metadata), so
-  a service restart never recomputes from scratch.
+* :meth:`ScoreIndex.save` / :meth:`ScoreIndex.load` persist it as one
+  ``index`` snapshot of :mod:`repro.io.layout` — the network's arrays,
+  one ``scores/<label>`` vector per method, and the method records as
+  header metadata, every span checksummed — so a service restart never
+  recomputes from scratch.  Stream checkpoints store the same file.
 
 Every refresh bumps :attr:`ScoreIndex.version`; query-result caches key
 on the version, which makes invalidation after updates automatic.
@@ -20,12 +22,7 @@ on the version, which makes invalidation after updates automatic.
 
 from __future__ import annotations
 
-import glob
-import json
-import os
 import time
-import zipfile
-import zlib
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -35,20 +32,15 @@ from repro._typing import FloatVector
 from repro.baselines import METHOD_REGISTRY, make_method, warm_startable
 from repro.chaos.points import chaos_point
 from repro.core.power_iteration import grow_start_vector
-from repro.errors import (
-    ConfigurationError,
-    DataFormatError,
-    IndexIntegrityError,
-)
+from repro.errors import ConfigurationError, IndexIntegrityError
 from repro.graph.citation_network import CitationNetwork
+from repro.io.layout import encode, read
 from repro.io.serialize import network_from_payload, network_payload
 from repro.obs.logging import get_logger
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import span
 
-__all__ = ["ScoreIndex", "MethodEntry", "INDEX_FORMAT_VERSION"]
-
-INDEX_FORMAT_VERSION = 1
+__all__ = ["ScoreIndex", "MethodEntry"]
 
 _LOG = get_logger("serve.solver")
 
@@ -348,13 +340,14 @@ class ScoreIndex:
     def save(self, path: str) -> None:
         """Write the index (snapshot + scores + metadata) to ``path``.
 
-        The write is atomic (temp file + rename): ``repro update``
+        The write is atomic (temp file, fsync, rename): ``repro update``
         overwrites the live index in place, and an interrupted write
         must never destroy the only copy of the serving state.
         """
         payload = network_payload(self._network)
+        for entry in self._entries.values():
+            payload[f"scores/{entry.label}"] = entry.scores
         meta = {
-            "index_format_version": INDEX_FORMAT_VERSION,
             "version": self._version,
             "methods": [
                 {
@@ -367,98 +360,37 @@ class ScoreIndex:
                 for entry in self._entries.values()
             ],
         }
-        payload["index_meta"] = np.asarray([json.dumps(meta)], dtype=np.str_)
-        for entry in self._entries.values():
-            payload[f"index_scores__{entry.label}"] = entry.scores
-        # Temp debris from a *crashed* earlier save (the cleanup below
-        # only runs on live exceptions, not on a kill) is swept here,
-        # on the next commit attempt — the same recovery moment the
-        # checkpoint protocol uses.
-        for stale in glob.glob(f"{glob.escape(path)}.tmp-*"):
-            os.remove(stale)
-        temp_path = f"{path}.tmp-{os.getpid()}"
-        try:
-            # A file handle keeps savez from appending ".npz" to the
-            # temp name and lets us fsync before the rename.
-            with open(temp_path, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-                handle.flush()
-                chaos_point("index.save.write")
-                os.fsync(handle.fileno())
-            chaos_point("index.save.fsync")
-            os.replace(temp_path, path)
-            chaos_point("index.save.replace")
-        except Exception:
-            # Deliberately narrower than a finally: an injected crash
-            # (BaseException) must leave the same orphaned temp file a
-            # real kill would, so the sweep above stays honest.
-            if os.path.exists(temp_path):
-                os.remove(temp_path)
-            raise
+        encode("index", meta, payload).save(path)
 
     @classmethod
     def load(cls, path: str) -> "ScoreIndex":
         """Read an index previously written by :meth:`save`.
 
+        Every checksum is verified before anything is decoded, and the
+        score vectors are copied out, so the loaded index does not pin
+        the file's bytes.
+
         Raises
         ------
-        DataFormatError
-            If the file is missing, is a bare network file rather than
-            an index, or declares an unsupported index format version.
         IndexIntegrityError
-            If the file parses as an index but its pieces disagree:
-            metadata fields missing, method labels unknown to the
-            registry or duplicated, score vectors missing, undeclared,
-            or of the wrong length, version numbers malformed.  (A
-            subclass of :class:`DataFormatError`.)
+            (A :class:`~repro.errors.DataFormatError`.)  If the file is
+            missing, fails a checksum, is not an index file (a bare
+            network file, say), or its pieces disagree: metadata fields
+            missing, method labels unknown to the registry or
+            duplicated, score vectors missing, undeclared, or of the
+            wrong length, version numbers malformed.
         """
-        if not os.path.exists(path):
-            raise DataFormatError(f"file not found: {path}")
         chaos_point("index.load")
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except DataFormatError:
-            raise
-        except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as error:
-            # np.load raises zipfile/OS errors on truncated archives
-            # and directories, and zlib errors on bit-flipped deflate
-            # data; a CLI caller must get a typed one-liner, not a
-            # traceback.
-            raise DataFormatError(
-                f"{path}: not a readable .npz index ({error})"
-            ) from None
-        if "index_meta" not in arrays:
-            raise DataFormatError(
-                f"{path}: not a repro score index (missing index_meta; "
-                "is this a bare network file?)"
-            )
-        meta = json.loads(str(arrays["index_meta"][0]))
-        declared = int(meta.get("index_format_version", -1))
-        if declared != INDEX_FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported index format version {declared} "
-                f"(this build reads version {INDEX_FORMAT_VERSION})"
-            )
-        records = _validated_method_records(meta, source=path)
-        network = network_from_payload(arrays, source=path)
+        decoded = read(path, kind="index", error=IndexIntegrityError)
+        records = _validated_method_records(decoded.meta, source=path)
+        network = network_from_payload(decoded)
         index = cls(network, version=records["version"])
-        declared_keys = set()
         for record in records["methods"]:
             label = record["label"]
-            key = f"index_scores__{label}"
-            declared_keys.add(key)
-            if key not in arrays:
-                raise IndexIntegrityError(
-                    f"{path}: score vector for {label!r} is missing"
-                )
-            scores = np.asarray(arrays[key], dtype=np.float64)
+            scores = decoded.take(
+                f"scores/{label}", "<f8", network.n_papers
+            ).copy()
             scores.setflags(write=False)
-            if scores.shape != (network.n_papers,):
-                raise IndexIntegrityError(
-                    f"{path}: score vector for {label!r} has length "
-                    f"{scores.size}, expected {network.n_papers}"
-                )
             index._entries[label] = MethodEntry(
                 label=label,
                 params=record["params"],
@@ -467,17 +399,7 @@ class ScoreIndex:
                 converged=record["converged"],
                 warm_started=record["warm_started"],
             )
-        undeclared = sorted(
-            name
-            for name in arrays
-            if name.startswith("index_scores__")
-            and name not in declared_keys
-        )
-        if undeclared:
-            raise IndexIntegrityError(
-                f"{path}: score vectors not declared in the metadata: "
-                f"{undeclared} — the file was assembled inconsistently"
-            )
+        decoded.finish()
         return index
 
 

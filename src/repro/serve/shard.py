@@ -11,11 +11,14 @@ and querying them sharded is what lets the serving layer scale:
   slice, independently and concurrently
   (:class:`~repro.serve.QueryEngine` k-way merges the per-shard
   candidate lists into the global page);
-* each shard persists as its *own* ``.npz`` file in the existing
-  score-index format — an individual shard file round-trips through
-  :meth:`ScoreIndex.load` — and a saved store loads shards lazily, so
-  opening a huge index to answer one query touches one manifest and at
-  most a few shard files;
+* a store persists as one ``store`` snapshot of
+  :mod:`repro.io.layout` — each shard's global indices, times, ids and
+  score columns, with the version, labels, partitioner and boundaries —
+  written atomically, and exactly the bytes :mod:`repro.serve.shm`
+  places in shared memory.  Opening a store checks every checksum and
+  maps its columns as read-only zero-copy views; a shard is
+  materialised (its ids decoded) on first access, so a query confined
+  to one shard decodes one shard;
 * :meth:`ShardedScoreIndex.sync` routes incremental growth to the
   affected shards: after a delta update, new papers are assigned by the
   store's partitioner and only the shards that gained papers are
@@ -38,12 +41,9 @@ Every partitioning of the same index answers every query with results
 
 from __future__ import annotations
 
-import json
-import os
-import zipfile
-import zlib
+import reprlib
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,28 +51,22 @@ from repro._typing import FloatVector, IntVector
 from repro.chaos.points import chaos_point
 from repro.errors import ConfigurationError, IndexIntegrityError
 from repro.graph.ids import IdTable
-from repro.io.serialize import network_payload
-from repro.serve.score_index import INDEX_FORMAT_VERSION, ScoreIndex
+from repro.io.layout import Decoded, Encoded, encode, put_ids, read
+from repro.serve.score_index import ScoreIndex
 
 __all__ = [
     "Shard",
     "ShardedScoreIndex",
     "StoreSnapshot",
     "PARTITIONERS",
-    "SHARD_MANIFEST",
-    "SHARD_FORMAT_VERSION",
+    "decode_store",
+    "encode_store",
     "hash_shard_of",
     "year_boundaries",
 ]
 
 #: Supported partitioner names.
 PARTITIONERS = ("hash", "year")
-
-#: Manifest filename inside a saved shard directory.
-SHARD_MANIFEST = "manifest.json"
-
-#: On-disk format version of the shard directory layout.
-SHARD_FORMAT_VERSION = 1
 
 
 _FNV_OFFSET = 2166136261
@@ -371,13 +365,13 @@ class StoreSnapshot:
     lean on exactly this).
 
     The only mutation a snapshot ever sees is the *lazy fill* of a
-    detached store's shard cache — idempotent (two racing loaders
-    produce equal shards) and invisible to correctness.
+    decoded store's shard cache by ``loader`` — idempotent (two racing
+    loaders produce equal shards) and invisible to correctness.
     """
 
     __slots__ = (
         "version", "labels", "n_papers", "n_shards", "partitioner",
-        "_boundaries", "_shards", "_shard_paths",
+        "_boundaries", "_shards", "_loader",
     )
 
     def __init__(
@@ -390,7 +384,7 @@ class StoreSnapshot:
         partitioner: str,
         boundaries: FloatVector | None,
         shards: dict[int, Shard],
-        shard_paths: tuple[str, ...] | None,
+        loader: Callable[[int], Shard] | None = None,
     ) -> None:
         self.version = int(version)
         self.labels = tuple(labels)
@@ -399,7 +393,7 @@ class StoreSnapshot:
         self.partitioner = partitioner
         self._boundaries = boundaries
         self._shards = shards
-        self._shard_paths = shard_paths
+        self._loader = loader
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -419,7 +413,7 @@ class StoreSnapshot:
         )
 
     def shard(self, shard_id: int) -> Shard:
-        """The shard at ``shard_id``, loading it from disk if lazy."""
+        """The shard at ``shard_id``, materialising it if lazy."""
         if shard_id < 0 or shard_id >= self.n_shards:
             raise ConfigurationError(
                 f"shard id {shard_id} out of range [0, {self.n_shards})"
@@ -427,11 +421,8 @@ class StoreSnapshot:
         existing = self._shards.get(shard_id)
         if existing is not None:
             return existing
-        assert self._shard_paths is not None
-        shard = _load_shard_file(
-            self._shard_paths[shard_id], shard_id, self.labels,
-            self.version,
-        )
+        assert self._loader is not None
+        shard = self._loader(shard_id)
         self._shards[shard_id] = shard
         return shard
 
@@ -473,7 +464,7 @@ class ShardedScoreIndex:
     Build one *attached* with :meth:`from_index` (it keeps a reference
     to the backing :class:`ScoreIndex` so :meth:`sync` can follow
     updates), or *detached* with :meth:`load` (query-only, reading a
-    directory written by :meth:`save`).
+    store file written by :meth:`save`).
 
     Internally all serving state lives in one :class:`StoreSnapshot`
     swapped atomically by :meth:`sync`; readers that need a stable
@@ -494,30 +485,14 @@ class ShardedScoreIndex:
 
     def __init__(
         self,
+        snapshot: StoreSnapshot,
         *,
-        n_shards: int,
-        partitioner: str,
-        version: int,
-        labels: tuple[str, ...],
-        n_papers: int,
-        boundaries: FloatVector | None,
-        backing: ScoreIndex | None,
-        assignment: IntVector | None,
-        shards: dict[int, Shard] | None = None,
-        shard_paths: tuple[str, ...] | None = None,
+        backing: ScoreIndex | None = None,
+        assignment: IntVector | None = None,
     ) -> None:
         self._backing = backing
         self._assignment = assignment
-        self._snapshot = StoreSnapshot(
-            version=version,
-            labels=labels,
-            n_papers=n_papers,
-            n_shards=n_shards,
-            partitioner=partitioner,
-            boundaries=boundaries,
-            shards=dict(shards or {}),
-            shard_paths=shard_paths,
-        )
+        self._snapshot = snapshot
 
     # ------------------------------------------------------------------
     # Construction
@@ -566,15 +541,13 @@ class ShardedScoreIndex:
             partitioner,
             boundaries,
         )
-        store = cls(
-            n_shards=n_shards,
-            partitioner=partitioner,
+        snapshot = StoreSnapshot(
             version=index.version,
             labels=index.labels,
             n_papers=network.n_papers,
+            n_shards=n_shards,
+            partitioner=partitioner,
             boundaries=boundaries,
-            backing=index,
-            assignment=assignment,
             shards=_grown_shards(
                 index,
                 index.labels,
@@ -584,7 +557,7 @@ class ShardedScoreIndex:
                 network.paper_ids_from(0),
             ),
         )
-        return store
+        return cls(snapshot, backing=index, assignment=assignment)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -641,7 +614,7 @@ class ShardedScoreIndex:
         return self._snapshot
 
     def shard(self, shard_id: int) -> Shard:
-        """The shard at ``shard_id``, loading it from disk if lazy."""
+        """The shard at ``shard_id``, materialising it if lazy."""
         return self._snapshot.shard(shard_id)
 
     def iter_shards(self) -> Iterable[Shard]:
@@ -725,162 +698,117 @@ class ShardedScoreIndex:
             partitioner=current.partitioner,
             boundaries=current._boundaries,
             shards=shards,
-            shard_paths=None,
         )
         return touched
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str) -> str:
-        """Write ``manifest.json`` plus one ``.npz`` per shard.
+    def save(self, path: str) -> None:
+        """Write the current generation to ``path`` as one store file.
 
-        Each shard file is a complete score index over the shard's
-        induced subnetwork (cross-shard edges drop out — the file
-        persists serving data, not the solve graph), so a single shard
-        also loads via :meth:`ScoreIndex.load`.  Returns the manifest
-        path.
+        The write is atomic (temp file, fsync, rename), and the bytes
+        are exactly those :func:`repro.serve.shm.export_snapshot`
+        places in shared memory.  A detached store saves too (its lazy
+        shards are materialised first).
         """
-        if self._backing is None:
-            raise ConfigurationError(
-                "cannot save a detached sharded index; save() needs "
-                "the backing ScoreIndex for the shard subnetworks"
-            )
-        os.makedirs(directory, exist_ok=True)
-        snapshot = self._snapshot
-        network = self._backing.network
-        files = []
-        for shard_id in range(snapshot.n_shards):
-            shard = snapshot.shard(shard_id)
-            filename = f"shard_{shard_id:04d}.npz"
-            files.append(filename)
-            subnet = network.subnetwork(shard.global_indices)
-            payload = network_payload(subnet)
-            meta = {
-                "index_format_version": INDEX_FORMAT_VERSION,
-                "version": snapshot.version,
-                "methods": [
-                    {
-                        "label": entry.label,
-                        "params": dict(entry.params),
-                        "iterations": entry.iterations,
-                        "converged": entry.converged,
-                        "warm_started": entry.warm_started,
-                    }
-                    for entry in (
-                        self._backing.entry(label)
-                        for label in snapshot.labels
-                    )
-                ],
-            }
-            payload["index_meta"] = np.asarray(
-                [json.dumps(meta)], dtype=np.str_
-            )
-            shard_meta = {
-                "shard_format_version": SHARD_FORMAT_VERSION,
-                "shard_id": shard_id,
-                "n_shards": snapshot.n_shards,
-                "partitioner": snapshot.partitioner,
-            }
-            payload["shard_meta"] = np.asarray(
-                [json.dumps(shard_meta)], dtype=np.str_
-            )
-            payload["shard_global_indices"] = shard.global_indices
-            for label in snapshot.labels:
-                payload[f"index_scores__{label}"] = shard.scores[label]
-            with open(os.path.join(directory, filename), "wb") as handle:
-                np.savez_compressed(handle, **payload)
-        manifest = {
-            "shard_format_version": SHARD_FORMAT_VERSION,
-            "n_shards": snapshot.n_shards,
-            "partitioner": snapshot.partitioner,
-            "version": snapshot.version,
-            "labels": list(snapshot.labels),
-            "n_papers": snapshot.n_papers,
-            "boundaries": (
-                None
-                if snapshot._boundaries is None
-                else [float(b) for b in snapshot._boundaries]
-            ),
-            "files": files,
-        }
-        manifest_path = os.path.join(directory, SHARD_MANIFEST)
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        return manifest_path
+        encode_store(self._snapshot).save(path)
 
     @classmethod
-    def load(cls, directory: str) -> "ShardedScoreIndex":
-        """Open a saved store *lazily*: only the manifest is read now.
+    def load(cls, path: str) -> "ShardedScoreIndex":
+        """Open a saved store: check it now, materialise shards lazily.
 
-        Shard files are loaded on first access (:meth:`shard`), so a
-        query that a year-partitioned plan confines to one shard pays
-        for one file.  The result is detached — it answers queries but
-        cannot :meth:`sync` or :meth:`save`.
+        A shard's ids are decoded on its first access (:meth:`shard`),
+        so a query that a year-partitioned plan confines to one shard
+        decodes one shard.  The result is detached — it answers
+        queries but cannot :meth:`sync`.
 
         Raises
         ------
         IndexIntegrityError
-            If the manifest is missing, malformed, or disagrees with
-            the shard files it names.
+            If the file is missing, fails a checksum, is not a store
+            file, or its header or arrays are malformed or disagree.
         """
-        manifest_path = os.path.join(directory, SHARD_MANIFEST)
-        if not os.path.exists(manifest_path):
-            raise IndexIntegrityError(
-                f"{directory}: not a sharded score index "
-                f"(missing {SHARD_MANIFEST})"
-            )
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise IndexIntegrityError(
-                f"{manifest_path}: invalid JSON ({error})"
-            ) from None
-        try:
-            declared = int(manifest["shard_format_version"])
-            n_shards = int(manifest["n_shards"])
-            partitioner = str(manifest["partitioner"])
-            version = int(manifest["version"])
-            labels = tuple(str(l) for l in manifest["labels"])
-            n_papers = int(manifest["n_papers"])
-            files = [str(f) for f in manifest["files"]]
-            raw_boundaries = manifest["boundaries"]
-        except (KeyError, TypeError, ValueError) as error:
-            raise IndexIntegrityError(
-                f"{manifest_path}: malformed manifest ({error})"
-            ) from None
-        if declared != SHARD_FORMAT_VERSION:
-            raise IndexIntegrityError(
-                f"{manifest_path}: unsupported shard format version "
-                f"{declared} (this build reads "
-                f"version {SHARD_FORMAT_VERSION})"
-            )
-        if len(files) != n_shards:
-            raise IndexIntegrityError(
-                f"{manifest_path}: manifest declares {n_shards} shards "
-                f"but names {len(files)} files"
-            )
-        boundaries = (
-            None
-            if raw_boundaries is None
-            else np.asarray(raw_boundaries, dtype=np.float64)
-        )
         return cls(
-            n_shards=n_shards,
-            partitioner=partitioner,
-            version=version,
-            labels=labels,
-            n_papers=n_papers,
-            boundaries=boundaries,
-            backing=None,
-            assignment=None,
-            shards={},
-            shard_paths=tuple(
-                os.path.join(directory, name) for name in files
-            ),
+            decode_store(read(path, kind="store", error=IndexIntegrityError))
         )
+
+
+def encode_store(snapshot: StoreSnapshot) -> Encoded:
+    """One generation as a ``store`` snapshot (file or shared segment)."""
+    arrays: dict[str, np.ndarray] = {}
+    if snapshot._boundaries is not None:  # year-partitioned
+        arrays["boundaries"] = snapshot._boundaries
+    for shard in snapshot.iter_shards():
+        prefix = f"shards/{shard.shard_id}"
+        arrays[f"{prefix}/global_indices"] = shard.global_indices
+        arrays[f"{prefix}/times"] = shard.times
+        put_ids(arrays, f"{prefix}/paper_ids", shard.paper_ids)
+        for label in snapshot.labels:
+            arrays[f"{prefix}/scores/{label}"] = shard.scores[label]
+    meta = {
+        "version": snapshot.version,
+        "labels": list(snapshot.labels),
+        "n_shards": snapshot.n_shards,
+        "partitioner": snapshot.partitioner,
+    }
+    return encode("store", meta, arrays)
+
+
+def decode_store(decoded: Decoded) -> StoreSnapshot:
+    """The generation a decoded ``store`` snapshot holds.
+
+    Checks the metadata and every shard's columns now; a shard is built
+    (its ids decoded) on first access.  Columns stay read-only zero-copy
+    views of the decoded buffer.
+    """
+    meta = decoded.meta
+    version, labels, n_shards, partitioner = (
+        meta.get(key) for key in ("version", "labels", "n_shards", "partitioner")
+    )
+    if (
+        [type(value) for value in (version, labels, n_shards)] != [int, list, int]
+        or not all(type(label) is str for label in labels)
+        or partitioner not in PARTITIONERS
+        or n_shards < 1
+        or version < 0
+    ):
+        raise decoded.fail(f"malformed store metadata {reprlib.repr(meta)}")
+    boundaries = (
+        decoded.take("boundaries", "<f8", n_shards - 1)
+        if partitioner == "year"
+        else None
+    )
+    columns = []
+    for shard_id in range(n_shards):
+        prefix = f"shards/{shard_id}"
+        owned = decoded.take(f"{prefix}/global_indices", "<i8")
+        columns.append((
+            owned,
+            decoded.take(f"{prefix}/times", "<f8", owned.size),
+            decoded.take_ragged(f"{prefix}/paper_ids", "|u1", owned.size),
+            {
+                label: decoded.take(f"{prefix}/scores/{label}", "<f8", owned.size)
+                for label in labels
+            },
+        ))
+    decoded.finish()
+
+    def load(shard_id: int) -> Shard:
+        owned, times, paper_ids, scores = columns[shard_id]
+        ids = IdTable(decoded.decode_ids(*paper_ids))
+        return Shard(shard_id, owned, ids, times, scores)
+
+    return StoreSnapshot(
+        version=version,
+        labels=tuple(labels),
+        n_papers=sum(column[0].size for column in columns),
+        n_shards=n_shards,
+        partitioner=partitioner,
+        boundaries=boundaries,
+        shards={},
+        loader=load,
+    )
 
 
 def _grown_shards(
@@ -923,78 +851,3 @@ def _grown_shards(
             scores={label: vector[owned] for label, vector in vectors.items()},
         )
     return shards
-
-
-def _load_shard_file(
-    path: str,
-    shard_id: int,
-    labels: tuple[str, ...],
-    version: int,
-) -> Shard:
-    """Read one shard ``.npz`` and cross-check it against the manifest."""
-    if not os.path.exists(path):
-        raise IndexIntegrityError(f"shard file not found: {path}")
-    try:
-        # Materialised eagerly: truncation fails the zip open, but a
-        # bit-flipped member only fails when its deflate stream is
-        # read — both must surface as a typed integrity failure, never
-        # a bare zipfile/zlib traceback.
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except (OSError, ValueError, zipfile.BadZipFile, zlib.error) as error:
-        raise IndexIntegrityError(
-            f"{path}: not a readable shard .npz ({error})"
-        ) from None
-    members = set(arrays)
-    required = {"paper_ids", "pub_time", "shard_meta", "index_meta",
-                "shard_global_indices"}
-    missing = required - members
-    if missing:
-        raise IndexIntegrityError(
-            f"{path}: not a shard file (missing {sorted(missing)})"
-        )
-    shard_meta = json.loads(str(arrays["shard_meta"][0]))
-    index_meta = json.loads(str(arrays["index_meta"][0]))
-    if int(shard_meta.get("shard_id", -1)) != shard_id:
-        raise IndexIntegrityError(
-            f"{path}: shard file claims id "
-            f"{shard_meta.get('shard_id')}, manifest expects "
-            f"{shard_id}"
-        )
-    if int(index_meta.get("version", -1)) != version:
-        raise IndexIntegrityError(
-            f"{path}: shard is at index version "
-            f"{index_meta.get('version')}, manifest expects "
-            f"{version} — the store was partially overwritten"
-        )
-    paper_ids = [str(p) for p in arrays["paper_ids"]]
-    times = np.asarray(arrays["pub_time"], dtype=np.float64)
-    global_indices = np.asarray(
-        arrays["shard_global_indices"], dtype=np.int64
-    )
-    scores: dict[str, FloatVector] = {}
-    for label in labels:
-        key = f"index_scores__{label}"
-        if key not in members:
-            raise IndexIntegrityError(
-                f"{path}: score vector for {label!r} is missing"
-            )
-        vector = np.asarray(arrays[key], dtype=np.float64)
-        if vector.shape != (len(paper_ids),):
-            raise IndexIntegrityError(
-                f"{path}: score vector for {label!r} has length "
-                f"{vector.size}, expected {len(paper_ids)}"
-            )
-        scores[label] = vector
-    if global_indices.shape != (len(paper_ids),):
-        raise IndexIntegrityError(
-            f"{path}: shard_global_indices has length "
-            f"{global_indices.size}, expected {len(paper_ids)}"
-        )
-    return Shard(
-        shard_id=shard_id,
-        global_indices=global_indices,
-        paper_ids=paper_ids,
-        times=times,
-        scores=scores,
-    )

@@ -8,14 +8,13 @@ contract across process boundaries so ``repro serve-http --workers N``
 can pre-fork N gateway workers that all answer from the *same* score
 vectors without N copies of the index:
 
-* :func:`export_snapshot` packs a materialised ``StoreSnapshot`` —
-  per-shard score vectors, publication years, global indices, paper
-  ids — into one ``multiprocessing.shared_memory`` segment: a JSON
-  header describing array offsets, then 64-byte-aligned blobs.
-* :func:`attach_snapshot` maps the segment back into a fully loaded
-  ``StoreSnapshot`` whose numeric columns are **zero-copy** numpy
-  views over the shared pages (``np.asarray`` inside ``Shard`` is a
-  no-op for matching dtypes, so not even shard construction copies).
+* :func:`export_snapshot` places a ``StoreSnapshot`` in one
+  ``multiprocessing.shared_memory`` segment as exactly the bytes
+  :meth:`~repro.serve.ShardedScoreIndex.save` writes to disk.
+* :func:`attach_snapshot` checks every checksum of a segment and maps
+  it back through the decoder :meth:`~repro.serve.ShardedScoreIndex.load`
+  uses: numeric columns are read-only **zero-copy** numpy views over
+  the shared pages, and a damaged segment is refused, never served.
 * :class:`GenerationBoard` is the cross-process swap: a tiny shared
   segment holding the current generation number plus a refcounted
   slot table, mutated under one fork-inherited lock.  A publisher
@@ -45,21 +44,19 @@ the unmap on the next generation swap.
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
-import struct
 from multiprocessing import shared_memory
 from multiprocessing.synchronize import Lock as ProcessLock
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import SharedStoreError
-from repro.serve.shard import Shard, StoreSnapshot
+from repro.io.layout import decode
+from repro.serve.shard import StoreSnapshot, decode_store, encode_store
 
 __all__ = [
-    "SHM_FORMAT_VERSION",
     "GenerationBoard",
     "SharedStorePublisher",
     "SharedStoreReader",
@@ -69,13 +66,6 @@ __all__ = [
     "new_session",
     "segment_name",
 ]
-
-#: Bump when the segment layout changes; attach refuses mismatches.
-SHM_FORMAT_VERSION = 1
-
-_MAGIC = b"RPRSHM01"
-_ALIGN = 64
-_HEAD = 16  # magic + uint64 header length
 
 # Board slot states.
 _FREE, _LIVE, _RETIRED = 0, 1, 2
@@ -184,97 +174,21 @@ def _unlink(name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Segment packing
+# Segments
 # ----------------------------------------------------------------------
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _encode_ids(paper_ids: tuple[str, ...]) -> np.ndarray:
-    """Paper ids as one fixed-width bytes column (UTF-8)."""
-    if not paper_ids:
-        return np.empty(0, dtype="S1")
-    encoded = np.array([pid.encode("utf-8") for pid in paper_ids])
-    if encoded.dtype.itemsize == 0:  # all-empty ids -> illegal S0
-        encoded = encoded.astype("S1")
-    return encoded
-
-
 def export_snapshot(
     name: str, snapshot: StoreSnapshot
 ) -> shared_memory.SharedMemory:
-    """Pack a materialised snapshot into one new shared segment.
+    """Place a snapshot in one new shared segment, as a store file.
 
     Returns the created (and fully written) ``SharedMemory``; the
     caller owns the mapping and usually closes it right away — the
     segment itself lives until unlinked by the generation protocol.
     """
-    shards_meta: list[dict[str, Any]] = []
-    blobs: list[tuple[int, np.ndarray]] = []
-    offset = 0
-
-    def place(array: np.ndarray) -> dict[str, Any]:
-        nonlocal offset
-        array = np.ascontiguousarray(array)
-        spec = {
-            "offset": offset,
-            "dtype": array.dtype.str,
-            "count": int(array.shape[0]),
-        }
-        blobs.append((offset, array))
-        offset = _aligned(offset + array.nbytes)
-        return spec
-
-    for shard_id in range(snapshot.n_shards):
-        shard = snapshot.shard(shard_id)
-        shards_meta.append(
-            {
-                "n_papers": shard.n_papers,
-                "global_indices": place(shard.global_indices),
-                "times": place(shard.times),
-                "paper_ids": place(_encode_ids(shard.paper_ids)),
-                "scores": {
-                    label: place(vector)
-                    for label, vector in sorted(shard.scores.items())
-                },
-            }
-        )
-
-    boundaries = snapshot._boundaries  # same-package: no public need yet
-    header = json.dumps(
-        {
-            "format": SHM_FORMAT_VERSION,
-            "version": snapshot.version,
-            "labels": list(snapshot.labels),
-            "n_papers": snapshot.n_papers,
-            "n_shards": snapshot.n_shards,
-            "partitioner": snapshot.partitioner,
-            "boundaries": (
-                None if boundaries is None
-                else [float(b) for b in boundaries]
-            ),
-            "shards": shards_meta,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-    payload_base = _aligned(_HEAD + len(header))
-    shm = _create(name, max(1, payload_base + max(1, offset)))
+    encoded = encode_store(snapshot)
+    shm = _create(name, encoded.size)
     try:
-        shm.buf[:8] = _MAGIC
-        struct.pack_into("<Q", shm.buf, 8, len(header))
-        shm.buf[_HEAD:_HEAD + len(header)] = header
-        for start, array in blobs:
-            if array.nbytes == 0:
-                continue
-            view = np.frombuffer(
-                shm.buf,
-                dtype=array.dtype,
-                count=array.shape[0],
-                offset=payload_base + start,
-            )
-            view[:] = array
-            del view  # release the buffer export before returning
+        encoded.into(shm.buf)
     except BaseException:
         shm.close()
         _unlink(name)
@@ -282,72 +196,34 @@ def export_snapshot(
     return shm
 
 
-def _view(
-    shm: shared_memory.SharedMemory, base: int, spec: Mapping[str, Any]
-) -> np.ndarray:
-    return np.frombuffer(
-        shm.buf,
-        dtype=np.dtype(spec["dtype"]),
-        count=int(spec["count"]),
-        offset=base + int(spec["offset"]),
-    )
-
-
 def attach_snapshot(
     name: str,
 ) -> tuple[shared_memory.SharedMemory, StoreSnapshot]:
-    """Map a published segment back into a fully loaded snapshot.
+    """Check a published segment and map it back into a snapshot.
 
-    Numeric columns are zero-copy views over the shared pages; paper
-    ids are decoded once per attach (they become Python strings inside
-    ``Shard`` anyway).  Keep the returned mapping referenced for as
-    long as any view into the snapshot may be alive.
+    Numeric columns are zero-copy views over the shared pages; each
+    shard's ids are decoded on its first access.  Keep the returned
+    mapping referenced for as long as any view into the snapshot may
+    be alive.  A missing, damaged or malformed segment raises
+    :class:`~repro.errors.SharedStoreError`.
     """
     shm = _attach(name)
     try:
-        if bytes(shm.buf[:8]) != _MAGIC:
-            raise SharedStoreError(
-                f"segment {name!r} is not a repro score store "
-                "(bad magic)"
+        snapshot = decode_store(
+            decode(
+                shm.buf,
+                kind="store",
+                source=f"segment {name!r}",
+                error=SharedStoreError,
             )
-        (header_len,) = struct.unpack_from("<Q", shm.buf, 8)
-        header = json.loads(bytes(shm.buf[_HEAD:_HEAD + header_len]))
-        if header["format"] != SHM_FORMAT_VERSION:
-            raise SharedStoreError(
-                f"segment {name!r} has format {header['format']}, "
-                f"this build reads {SHM_FORMAT_VERSION}"
-            )
-        payload_base = _aligned(_HEAD + header_len)
-        shards: dict[int, Shard] = {}
-        for shard_id, meta in enumerate(header["shards"]):
-            raw_ids = _view(shm, payload_base, meta["paper_ids"])
-            shards[shard_id] = Shard(
-                shard_id,
-                _view(shm, payload_base, meta["global_indices"]),
-                [b.decode("utf-8") for b in raw_ids.tolist()],
-                _view(shm, payload_base, meta["times"]),
-                {
-                    label: _view(shm, payload_base, spec)
-                    for label, spec in meta["scores"].items()
-                },
-            )
-        boundaries = (
-            None
-            if header["boundaries"] is None
-            else np.asarray(header["boundaries"], dtype=np.float64)
-        )
-        snapshot = StoreSnapshot(
-            version=header["version"],
-            labels=tuple(header["labels"]),
-            n_papers=header["n_papers"],
-            n_shards=header["n_shards"],
-            partitioner=header["partitioner"],
-            boundaries=boundaries,
-            shards=shards,
-            shard_paths=None,
         )
     except BaseException:
-        shm.close()
+        try:
+            shm.close()
+        except BufferError:
+            # Views of a half-decoded segment live on in the traceback;
+            # the mapping goes when they do.
+            _abandon(shm)
         raise
     return shm, snapshot
 
@@ -606,7 +482,11 @@ class SharedStoreReader:
         self._segment: shared_memory.SharedMemory | None = None
         self._snapshot: StoreSnapshot | None = None
         self._parked: list[shared_memory.SharedMemory] = []
-        self._refresh()
+        try:
+            self._refresh()
+        except BaseException:
+            self._board.close()
+            raise
 
     # -- ShardedScoreIndex surface -------------------------------------
     def snapshot(self) -> StoreSnapshot:
@@ -654,9 +534,15 @@ class SharedStoreReader:
             # Raced with our own peek; drop the double pin.
             self._board.release(generation)
             return
-        segment, snapshot = attach_snapshot(
-            segment_name(self._board.session, generation)
-        )
+        try:
+            segment, snapshot = attach_snapshot(
+                segment_name(self._board.session, generation)
+            )
+        except BaseException:
+            # A refused (say, corrupted) generation stays unpinned, so
+            # the board can still reap it.
+            self._board.release(generation)
+            raise
         old_generation, old_segment = self._generation, self._segment
         self._generation = generation
         self._segment = segment

@@ -4,7 +4,8 @@ A :class:`Checkpoint` is everything a killed replay needs to continue
 *bit-identically*: the log offset (events consumed), the batch policy,
 the serving configuration, and the full serving state — the
 :class:`~repro.serve.ScoreIndex` snapshot with its exact ``float64``
-score vectors, persisted through the index's own ``.npz`` format.
+score vectors, persisted by :meth:`~repro.serve.ScoreIndex.save` as one
+checksummed ``index`` snapshot file (:mod:`repro.io.layout`).
 Because replay is deterministic and warm starts are seeded from the
 persisted vectors, a resumed run passes through the same states the
 uninterrupted run would have.
@@ -13,7 +14,7 @@ Layout of a checkpoint directory::
 
     <directory>/
         checkpoint.json       # offset, digest, batch + serving config
-        index-v00000042.npz   # ScoreIndex.save() of the serving state
+        index-v00000042.snap  # ScoreIndex.save() of the serving state
 
 ``checkpoint.json`` is written last and atomically (temp file +
 rename): it is the commit point.  The index file it references is
@@ -58,7 +59,7 @@ CHECKPOINT_FILE = "checkpoint.json"
 
 def _index_filename(version: int) -> str:
     """The version-suffixed index filename of one checkpoint."""
-    return f"index-v{version:08d}.npz"
+    return f"index-v{version:08d}.snap"
 
 #: On-disk format version of the checkpoint layout.
 CHECKPOINT_FORMAT_VERSION = 1
@@ -334,7 +335,7 @@ class _BoundCheckpoint:
         for name in os.listdir(directory):
             if (
                 name.startswith("index-v")
-                and name.endswith(".npz")
+                and name.endswith(".snap")
                 and name != self.state.index_file
             ):
                 os.remove(os.path.join(directory, name))

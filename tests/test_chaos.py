@@ -216,7 +216,7 @@ def _toy_ingestor(batches: int = 2) -> StreamIngestor:
 
 class TestOrphanCleanup:
     def test_index_save_sweeps_preexisting_orphans(self, tmp_path):
-        path = str(tmp_path / "idx.npz")
+        path = str(tmp_path / "idx.snap")
         orphan = f"{path}.tmp-9999"
         open(orphan, "w").close()
         index = ScoreIndex(toy_network())
@@ -242,7 +242,7 @@ class TestOrphanCleanup:
     def test_crash_orphans_are_swept_by_the_next_save(self, tmp_path):
         """An injected kill between fsync and rename leaves the temp
         file a real kill would; the next save must clean it up."""
-        path = str(tmp_path / "idx.npz")
+        path = str(tmp_path / "idx.snap")
         index = ScoreIndex(toy_network())
         index.add_method("CC")
         plan = FaultPlan.single(

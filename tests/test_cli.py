@@ -7,12 +7,14 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.io.layout import read_kind
 from repro.io.serialize import save_network
+from repro.serve import ShardedScoreIndex
 
 
 @pytest.fixture
 def toy_file(toy, tmp_path):
-    path = str(tmp_path / "toy.npz")
+    path = str(tmp_path / "toy.snap")
     save_network(toy, path)
     return path
 
@@ -21,14 +23,14 @@ def toy_file(toy, tmp_path):
 def hepth_file(tmp_path_factory):
     from repro.synth.profiles import generate_dataset
 
-    path = str(tmp_path_factory.mktemp("nets") / "hepth.npz")
+    path = str(tmp_path_factory.mktemp("nets") / "hepth.snap")
     save_network(generate_dataset("hep-th", size="tiny", seed=42), path)
     return path
 
 
 class TestGenerate:
     def test_generate_writes_file(self, tmp_path, capsys):
-        out = str(tmp_path / "net.npz")
+        out = str(tmp_path / "net.snap")
         code = main(
             ["generate", "hep-th", out, "--size", "tiny", "--seed", "1"]
         )
@@ -118,7 +120,7 @@ def _ranked_papers(output: str) -> list[str]:
 class TestServe:
     @pytest.fixture
     def index_file(self, hepth_file, tmp_path_factory, capsys):
-        path = str(tmp_path_factory.mktemp("serve") / "index.npz")
+        path = str(tmp_path_factory.mktemp("serve") / "index.snap")
         assert main(
             ["index", "--input", hepth_file, "--output", path,
              "--methods", "AR", "PR", "CC"]
@@ -127,7 +129,7 @@ class TestServe:
         return path
 
     def test_index_reports_solves(self, hepth_file, tmp_path, capsys):
-        out_path = str(tmp_path / "index.npz")
+        out_path = str(tmp_path / "index.snap")
         code = main(
             ["index", "--input", hepth_file, "--output", out_path,
              "--methods", "PR", "CC"]
@@ -325,13 +327,13 @@ class TestTrace:
 
 class TestErrors:
     def test_error_exit_code(self, tmp_path, capsys):
-        code = main(["summarize", "--input", str(tmp_path / "nope.npz")])
+        code = main(["summarize", "--input", str(tmp_path / "nope.snap")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
     def test_errors_are_typed_one_liners(self, tmp_path, capsys):
         code = main(
-            ["query", "--index", str(tmp_path / "missing.npz"),
+            ["query", "--index", str(tmp_path / "missing.snap"),
              "--methods", "AR"]
         )
         assert code == 1
@@ -341,16 +343,17 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_missing_index_directory_is_typed(self, tmp_path, capsys):
+        """A directory is not a store: stores are single files."""
         empty = tmp_path / "empty-dir"
         empty.mkdir()
         code = main(["query", "--index", str(empty), "--methods", "AR"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: [IndexIntegrityError]" in err
-        assert "manifest.json" in err
+        assert "error: [DataFormatError]" in err
+        assert f"{empty}: cannot read" in err
 
     def test_corrupt_index_file_is_typed(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.npz"
+        bogus = tmp_path / "bogus.snap"
         bogus.write_bytes(b"this is not a zip archive")
         code = main(["query", "--index", str(bogus), "--methods", "AR"])
         assert code == 1
@@ -363,9 +366,9 @@ class TestErrors:
     ):
         from repro.synth import toy_network
 
-        net_path = str(tmp_path / "toy.npz")
+        net_path = str(tmp_path / "toy.snap")
         save_network(toy_network(), net_path)
-        index_path = str(tmp_path / "toy-index.npz")
+        index_path = str(tmp_path / "toy-index.snap")
         assert main(
             ["index", "--input", net_path, "--output", index_path,
              "--methods", "CC"]
@@ -396,9 +399,9 @@ class TestErrors:
         typed error in its slot, not a silently empty ranking."""
         from repro.synth import toy_network
 
-        net_path = str(tmp_path / "toy.npz")
+        net_path = str(tmp_path / "toy.snap")
         save_network(toy_network(), net_path)
-        index_path = str(tmp_path / "toy-index.npz")
+        index_path = str(tmp_path / "toy-index.snap")
         assert main(
             ["index", "--input", net_path, "--output", index_path,
              "--methods", "CC", "PR"]
@@ -504,7 +507,7 @@ class TestBench:
 
 class TestShardedServe:
     @pytest.fixture
-    def shard_dir(self, hepth_file, tmp_path_factory, capsys):
+    def store_file(self, hepth_file, tmp_path_factory, capsys):
         path = str(tmp_path_factory.mktemp("serve") / "store")
         assert main(
             ["index", "--input", hepth_file, "--output", path,
@@ -524,14 +527,15 @@ class TestShardedServe:
         ) == 0
         out = capsys.readouterr().out
         assert "2 hash-partitioned shards" in out
-        assert os.path.exists(os.path.join(path, "manifest.json"))
-        assert os.path.exists(os.path.join(path, "shard_0000.npz"))
-        assert os.path.exists(os.path.join(path, "shard_0001.npz"))
+        # One store file at exactly the given path, nothing beside it.
+        assert os.listdir(tmp_path) == ["store"]
+        assert read_kind(path) == "store"
+        assert ShardedScoreIndex.load(path).n_shards == 2
 
     def test_query_from_shard_directory_matches_file(
-        self, hepth_file, shard_dir, tmp_path, capsys
+        self, hepth_file, store_file, tmp_path, capsys
     ):
-        flat = str(tmp_path / "flat.npz")
+        flat = str(tmp_path / "flat.snap")
         assert main(
             ["index", "--input", hepth_file, "--output", flat,
              "--methods", "PR", "CC"]
@@ -542,21 +546,21 @@ class TestShardedServe:
         ) == 0
         from_file = _ranked_papers(capsys.readouterr().out)
         assert main(
-            ["query", "--index", shard_dir, "--methods", "PR",
+            ["query", "--index", store_file, "--methods", "PR",
              "--top", "7", "--jobs", "2"]
         ) == 0
         from_shards = _ranked_papers(capsys.readouterr().out)
         assert from_shards == from_file
         assert len(from_shards) == 7
 
-    def test_batch_query_outputs_json(self, shard_dir, tmp_path, capsys):
+    def test_batch_query_outputs_json(self, store_file, tmp_path, capsys):
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps([
             {"type": "top_k", "method": "PR", "k": 3},
             {"type": "compare", "methods": ["PR", "CC"], "k": 5},
         ]))
         assert main(
-            ["query", "--index", shard_dir, "--batch", str(batch)]
+            ["query", "--index", store_file, "--batch", str(batch)]
         ) == 0
         documents = json.loads(capsys.readouterr().out)
         assert [doc["type"] for doc in documents] == ["top_k", "compare"]
@@ -565,7 +569,7 @@ class TestShardedServe:
     def test_batch_query_on_flat_index(
         self, hepth_file, tmp_path, capsys
     ):
-        flat = str(tmp_path / "flat.npz")
+        flat = str(tmp_path / "flat.snap")
         assert main(
             ["index", "--input", hepth_file, "--output", flat,
              "--methods", "CC"]
@@ -577,9 +581,9 @@ class TestShardedServe:
         (document,) = json.loads(capsys.readouterr().out)
         assert document["method"] == "CC"
 
-    def test_update_rejects_shard_directory(self, shard_dir, capsys):
+    def test_update_rejects_shard_directory(self, store_file, capsys):
         assert main(
-            ["update", "--index", shard_dir, "--delta", "whatever.json"]
+            ["update", "--index", store_file, "--delta", "whatever.json"]
         ) == 2
         assert "single-file index" in capsys.readouterr().err
 
@@ -603,9 +607,9 @@ class TestGatewayCLI:
         from repro.synth import toy_network
 
         root = tmp_path_factory.mktemp("gateway")
-        net_path = str(root / "toy.npz")
+        net_path = str(root / "toy.snap")
         save_network(toy_network(), net_path)
-        index_path = str(root / "index.npz")
+        index_path = str(root / "index.snap")
         assert main(
             ["index", "--input", net_path, "--output", index_path,
              "--methods", "CC", "PR"]
@@ -664,7 +668,7 @@ class TestStream:
         assert log.n_papers == 750
 
     def test_replay_to_index(self, log_file, tmp_path, capsys):
-        out = str(tmp_path / "streamed.npz")
+        out = str(tmp_path / "streamed.snap")
         assert main(
             ["stream", "replay", "--log", log_file,
              "--methods", "PR", "CC", "--batch-size", "256",
@@ -700,7 +704,7 @@ class TestStream:
         inspected = capsys.readouterr().out
         assert "events consumed" in inspected and "CC" in inspected
 
-        out = str(tmp_path / "resumed.npz")
+        out = str(tmp_path / "resumed.snap")
         assert main(
             ["stream", "resume", "--checkpoint", ckpt,
              "--log", log_file, "--index-out", out]

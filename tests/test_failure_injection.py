@@ -4,6 +4,7 @@ the API documents it) — never return silently wrong rankings."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from repro.errors import (
     DataFormatError,
     EvaluationError,
     GraphError,
-    IndexIntegrityError,
     ReproError,
 )
 from repro.graph.builder import NetworkBuilder
@@ -70,16 +70,6 @@ class TestDegenerateNetworks:
 
 
 class TestCorruptFiles:
-    def test_truncated_npz(self, toy, tmp_path):
-        from repro.io.serialize import load_network, save_network
-
-        path = str(tmp_path / "net.npz")
-        save_network(toy, path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[: len(raw) // 2])
-        with pytest.raises(Exception):  # zipfile/numpy error surface
-            load_network(path)
-
     def test_binary_garbage_edge_file(self, tmp_path):
         from repro.io.edgelist import load_edge_list
 
@@ -107,49 +97,70 @@ def _flip_byte(path: str, offset: int) -> None:
     open(path, "wb").write(bytes(raw))
 
 
-class TestCorruptServingFiles:
-    """The serving stack's on-disk formats must fail with *typed*
-    errors on corruption — never a bare zipfile/zlib/KeyError."""
+def _corruption_offsets(raw: bytes) -> dict[str, int]:
+    """Where to damage a snapshot file, read independently of the
+    library: every prefix byte, one header byte, one byte of header
+    padding, and the first byte of each array and of its padding."""
+    (length,) = struct.unpack_from("<I", raw, 8)
+    body = -(-(16 + length) // 64) * 64
+    header = json.loads(raw[16:16 + length])
+    offsets = {f"prefix[{i}]": i for i in range(16)}
+    offsets["header"] = 16 + length // 2
+    if body > 16 + length:
+        offsets["header padding"] = 16 + length
+    for record in header["arrays"]:
+        start = body + record["offset"]
+        end = start + record["count"] * np.dtype(record["dtype"]).itemsize
+        if end > start:
+            offsets[record["name"]] = start
+        if end % 64:
+            offsets[f"{record['name']} padding"] = end
+    return offsets
 
-    @pytest.fixture
-    def shard_dir(self, toy, tmp_path) -> str:
+
+class TestCorruptSnapshotFiles:
+    """A flipped, missing or extra byte anywhere in a network, index or
+    store file is refused with a typed error before anything loads —
+    never a wrong answer served from damaged bytes."""
+
+    @pytest.fixture(params=["network", "index", "store"])
+    def snapshot_file(self, request, toy, tmp_path):
+        from repro.io.serialize import load_network, save_network
         from repro.serve import ScoreIndex, ShardedScoreIndex
 
+        path = str(tmp_path / f"{request.param}.snap")
         index = ScoreIndex(toy)
         index.add_method("CC")
-        directory = str(tmp_path / "store")
-        ShardedScoreIndex.from_index(index, n_shards=2).save(directory)
-        return directory
+        index.add_method("PR")
+        if request.param == "network":
+            save_network(toy, path)
+            return path, load_network
+        if request.param == "index":
+            index.save(path)
+            return path, ScoreIndex.load
+        ShardedScoreIndex.from_index(index, n_shards=2).save(path)
+        return path, ShardedScoreIndex.load
 
-    def test_truncated_shard_npz(self, shard_dir):
-        from repro.serve import ShardedScoreIndex
-
-        path = os.path.join(shard_dir, "shard_0000.npz")
+    def test_flipped_byte_is_refused(self, snapshot_file):
+        path, load = snapshot_file
         raw = open(path, "rb").read()
-        open(path, "wb").write(raw[: len(raw) // 2])
-        store = ShardedScoreIndex.load(shard_dir)  # manifest-only, lazy
-        with pytest.raises(IndexIntegrityError, match="not a readable"):
-            store.shard(0)
+        for where, offset in _corruption_offsets(raw).items():
+            damaged = bytearray(raw)
+            damaged[offset] ^= 0xFF
+            open(path, "wb").write(bytes(damaged))
+            with pytest.raises(DataFormatError):
+                load(path)
+                pytest.fail(f"loaded with a flipped byte at {where}")
 
-    def test_bit_flipped_shard_npz(self, shard_dir):
-        from repro.serve import ShardedScoreIndex
-
-        path = os.path.join(shard_dir, "shard_0000.npz")
-        _flip_byte(path, os.path.getsize(path) // 2)
-        store = ShardedScoreIndex.load(shard_dir)
-        with pytest.raises(IndexIntegrityError):
-            store.shard(0)
-
-    def test_bit_flipped_index_npz(self, toy, tmp_path):
-        from repro.serve import ScoreIndex
-
-        index = ScoreIndex(toy)
-        index.add_method("CC")
-        path = str(tmp_path / "idx.npz")
-        index.save(path)
-        _flip_byte(path, os.path.getsize(path) // 2)
-        with pytest.raises(DataFormatError):
-            ScoreIndex.load(path)
+    def test_resized_file_is_refused(self, snapshot_file):
+        path, load = snapshot_file
+        raw = open(path, "rb").read()
+        cuts = [*_corruption_offsets(raw).values(), len(raw) - 1]
+        for damaged in [raw[:cut] for cut in cuts] + [raw + b"\0"]:
+            open(path, "wb").write(damaged)
+            with pytest.raises(DataFormatError):
+                load(path)
+                pytest.fail(f"loaded from {len(damaged)} of {len(raw)} bytes")
 
 
 class TestCorruptCheckpoints:
@@ -161,7 +172,7 @@ class TestCorruptCheckpoints:
         from repro.cli import main
         from repro.io.serialize import save_network
 
-        network_file = str(tmp_path / "net.npz")
+        network_file = str(tmp_path / "net.snap")
         save_network(toy, network_file)
         log_file = str(tmp_path / "events.jsonl")
         assert main(
@@ -198,7 +209,7 @@ class TestCorruptCheckpoints:
 
         log_file, ckpt = replayed
         (index_file,) = [
-            name for name in os.listdir(ckpt) if name.endswith(".npz")
+            name for name in os.listdir(ckpt) if name.endswith(".snap")
         ]
         path = os.path.join(ckpt, index_file)
         _flip_byte(path, os.path.getsize(path) // 2)
@@ -207,7 +218,7 @@ class TestCorruptCheckpoints:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert "error: [DataFormatError]" in err
+        assert "error: [IndexIntegrityError]" in err
 
 
 class TestAdversarialConfiguration:

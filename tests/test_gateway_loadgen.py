@@ -90,28 +90,28 @@ class TestRunLoadStatic:
         assert report["versions_observed"] == [0]
 
     def test_detached_engine_backend(self, tmp_path):
+        """A store file is served and verified like a service."""
         index = ScoreIndex(toy_network())
         index.add_method("CC")
-        store_dir = str(tmp_path / "store")
-        ShardedScoreIndex.from_index(index, n_shards=2).save(store_dir)
-        engine = QueryEngine(ShardedScoreIndex.load(store_dir))
+        store_file = str(tmp_path / "store.snap")
+        ShardedScoreIndex.from_index(index, n_shards=2).save(store_file)
+        engine = QueryEngine(ShardedScoreIndex.load(store_file))
         report = run_load_static(
             engine, ("CC",), clients=2, requests_per_client=8,
-            verify=False,
         )
         assert report["errors_5xx"] == 0
         assert report["requests"] == 16
-        # No verification possible on a detached store.
-        assert report["verified_responses"] == 0
+        assert report["identical_rankings"] is True
+        assert report["verified_responses"] == report["status_counts"]["200"]
 
     def test_detached_store_with_empty_shards(self, tmp_path):
         """More shards than papers leaves some shards empty; the year
         span must come from the populated ones, not crash on min()."""
         index = ScoreIndex(toy_network())
         index.add_method("CC")
-        store_dir = str(tmp_path / "sparse")
-        ShardedScoreIndex.from_index(index, n_shards=16).save(store_dir)
-        engine = QueryEngine(ShardedScoreIndex.load(store_dir))
+        store_file = str(tmp_path / "sparse.snap")
+        ShardedScoreIndex.from_index(index, n_shards=16).save(store_file)
+        engine = QueryEngine(ShardedScoreIndex.load(store_file))
         report = run_load_static(
             engine, ("CC",), clients=2, requests_per_client=4,
             verify=False,

@@ -184,7 +184,7 @@ class TestServeHttpSignals:
     def test_sigterm_drains_and_exits_zero(self, tmp_path, extra):
         index = ScoreIndex(toy_network())
         index.add_method("CC")
-        index_path = tmp_path / "index.npz"
+        index_path = tmp_path / "index.snap"
         index.save(str(index_path))
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"

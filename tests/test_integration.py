@@ -68,7 +68,7 @@ class TestFullPipeline:
         assert ndcgs["ATT-ONLY"] > ndcgs["CC"]
 
     def test_round_trip_then_full_evaluation(self, hepth_tiny, tmp_path):
-        path = str(tmp_path / "net.npz")
+        path = str(tmp_path / "net.snap")
         save_network(hepth_tiny, path)
         reloaded = load_network(path)
         original_split = split_by_ratio(hepth_tiny, 1.6)

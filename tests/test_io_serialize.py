@@ -1,4 +1,4 @@
-"""Unit tests for the .npz serialisation round-trip."""
+"""Unit tests for the network file round-trip."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.io.serialize import load_network, save_network
 
 class TestRoundTrip:
     def test_toy_round_trip(self, toy, tmp_path):
-        path = str(tmp_path / "toy.npz")
+        path = str(tmp_path / "toy.snap")
         save_network(toy, path)
         loaded = load_network(path)
         assert loaded.paper_ids == toy.paper_ids
@@ -20,7 +20,7 @@ class TestRoundTrip:
         assert np.array_equal(loaded.paper_venues, toy.paper_venues)
 
     def test_metadata_free_round_trip(self, chain, tmp_path):
-        path = str(tmp_path / "chain.npz")
+        path = str(tmp_path / "chain.snap")
         save_network(chain, path)
         loaded = load_network(path)
         assert not loaded.has_authors
@@ -31,7 +31,7 @@ class TestRoundTrip:
         """Ranking scores must be bit-identical after a round-trip."""
         from repro.baselines.ram import RetainedAdjacency
 
-        path = str(tmp_path / "hepth.npz")
+        path = str(tmp_path / "hepth.snap")
         save_network(hepth_tiny, path)
         loaded = load_network(path)
         original = RetainedAdjacency(gamma=0.5).scores(hepth_tiny)
@@ -42,7 +42,7 @@ class TestRoundTrip:
 class TestErrors:
     def test_missing_file(self):
         with pytest.raises(DataFormatError, match="not found"):
-            load_network("/no/such/file.npz")
+            load_network("/no/such/file.snap")
 
     def test_wrong_file_rejected(self, tmp_path):
         path = str(tmp_path / "junk.npz")
@@ -50,12 +50,12 @@ class TestErrors:
         with pytest.raises(DataFormatError, match="not a repro network"):
             load_network(path)
 
-    def test_wrong_version_rejected(self, toy, tmp_path):
-        path = str(tmp_path / "toy.npz")
-        save_network(toy, path)
-        with np.load(path) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        payload["format_version"] = np.asarray([999])
-        np.savez(path, **payload)
+    def test_wrong_version_rejected(self, toy, tmp_path, monkeypatch):
+        from repro.io import layout
+
+        path = str(tmp_path / "toy.snap")
+        with monkeypatch.context() as patch:
+            patch.setattr(layout, "FORMAT_VERSION", 999)
+            save_network(toy, path)
         with pytest.raises(DataFormatError, match="unsupported format"):
             load_network(path)

@@ -24,7 +24,7 @@ class TestScoreIndex:
         index.add_method("PR")
         with pytest.raises(ValueError, match="read-only"):
             index.scores("PR")[0] = 1.0
-        path = str(tmp_path / "index.npz")
+        path = str(tmp_path / "index.snap")
         index.save(path)
         loaded = ScoreIndex.load(path)
         with pytest.raises(ValueError, match="read-only"):
@@ -138,7 +138,7 @@ class TestScoreIndex:
 
 class TestScoreIndexPersistence:
     def test_roundtrip(self, toy, tmp_path):
-        path = str(tmp_path / "index.npz")
+        path = str(tmp_path / "index.snap")
         index = ScoreIndex(toy)
         index.add_method("AR", alpha=0.2, beta=0.5, gamma=0.3)
         index.add_method("CC")
@@ -159,7 +159,7 @@ class TestScoreIndexPersistence:
             )
 
     def test_loaded_index_can_refresh(self, toy, tmp_path):
-        path = str(tmp_path / "index.npz")
+        path = str(tmp_path / "index.snap")
         index = ScoreIndex(toy)
         index.add_method("PR")
         index.save(path)
@@ -172,10 +172,10 @@ class TestScoreIndexPersistence:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="not found"):
-            ScoreIndex.load(str(tmp_path / "nope.npz"))
+            ScoreIndex.load(str(tmp_path / "nope.snap"))
 
     def test_bare_network_file_rejected(self, toy, tmp_path):
-        path = str(tmp_path / "net.npz")
+        path = str(tmp_path / "net.snap")
         save_network(toy, path)
         with pytest.raises(DataFormatError, match="not a repro score index"):
             ScoreIndex.load(path)
@@ -224,19 +224,19 @@ class TestLoadIntegrityValidation:
 
     @staticmethod
     def _tampered(toy, tmp_path, mutate):
-        """Save a valid index, rewrite its metadata through ``mutate``."""
-        import json
+        """Save a valid index, let ``mutate`` edit its metadata and
+        arrays, and rewrite it through the layout's own writer."""
+        from repro.errors import IndexIntegrityError
+        from repro.io.layout import encode, read
 
-        path = str(tmp_path / "index.npz")
+        path = str(tmp_path / "index.snap")
         index = ScoreIndex(toy)
         index.add_method("CC")
         index.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["index_meta"][0]))
+        decoded = read(path, kind="index", error=IndexIntegrityError)
+        meta, arrays = decoded.meta, dict(decoded.arrays)
         mutate(meta, arrays)
-        arrays["index_meta"] = np.asarray([json.dumps(meta)], dtype=np.str_)
-        np.savez(path, **arrays)
+        encode("index", meta, arrays).save(path)
         return path
 
     def test_missing_version_field(self, toy, tmp_path):
@@ -279,7 +279,7 @@ class TestLoadIntegrityValidation:
         from repro.errors import IndexIntegrityError
 
         def mutate(meta, arrays):
-            del arrays["index_scores__CC"]
+            del arrays["scores/CC"]
 
         with pytest.raises(IndexIntegrityError, match="missing"):
             ScoreIndex.load(self._tampered(toy, tmp_path, mutate))
@@ -288,7 +288,7 @@ class TestLoadIntegrityValidation:
         from repro.errors import IndexIntegrityError
 
         def mutate(meta, arrays):
-            arrays["index_scores__PR"] = arrays["index_scores__CC"]
+            arrays["scores/PR"] = arrays["scores/CC"]
 
         with pytest.raises(IndexIntegrityError, match="not declared"):
             ScoreIndex.load(self._tampered(toy, tmp_path, mutate))

@@ -20,6 +20,7 @@ from repro.serve.shm import (
     GenerationBoard,
     SharedStorePublisher,
     SharedStoreReader,
+    _attach,
     _unlink,
     attach_snapshot,
     board_name,
@@ -299,3 +300,82 @@ class TestPublisherReader:
         assert not [
             name for name in iter_repro_segments() if session in name
         ]
+
+
+def _damage(name: str, array: str | None) -> None:
+    """Flip one byte of a published segment: in its header, or in the
+    first byte of ``array``'s region."""
+    import json
+    import struct
+
+    segment = _attach(name)
+    try:
+        (length,) = struct.unpack_from("<I", segment.buf, 8)
+        offset = 16 + length // 2
+        if array is not None:
+            header = json.loads(bytes(segment.buf[16:16 + length]))
+            body = -(-(16 + length) // 64) * 64
+            (record,) = [r for r in header["arrays"] if r["name"] == array]
+            offset = body + record["offset"]
+        segment.buf[offset] ^= 0xFF
+    finally:
+        segment.close()
+
+
+class TestCorruptSegments:
+    """A generation damaged after it was published is refused by a
+    checksum — the reader raises, and never serves a snapshot built from
+    the damaged bytes."""
+
+    @pytest.mark.parametrize(
+        "array", [None, "shards/0/scores/CC"], ids=["header", "scores"]
+    )
+    def test_flipped_byte_is_refused(self, array):
+        store = _sharded()
+        publisher = SharedStorePublisher()
+        session = publisher.session
+        try:
+            publisher.publish(store.snapshot())
+            reader = SharedStoreReader(session, publisher.lock)
+            try:
+                generation = publisher.publish(store.snapshot())
+                _damage(segment_name(session, generation), array)
+                for _ in range(2):  # refused on every attempt
+                    with pytest.raises(SharedStoreError, match="checksum"):
+                        reader.snapshot()
+                    assert reader.generation == 0
+                # The refused generation is left unpinned.
+                assert publisher.board.generations()[generation]["readers"] == 0
+                with pytest.raises(SharedStoreError, match="checksum"):
+                    SharedStoreReader(session, publisher.lock)
+            finally:
+                reader.close()
+        finally:
+            publisher.close()
+        assert not [
+            name for name in iter_repro_segments() if session in name
+        ]
+
+    def test_malformed_store_metadata_is_typed(self):
+        """A well-formed segment whose store metadata is wrong fails
+        with SharedStoreError, although its arrays were already mapped
+        when the metadata check ran."""
+        from repro.io.layout import decode, encode
+        from repro.serve.shard import encode_store
+
+        encoded = encode_store(_sharded().snapshot())
+        raw = bytearray(encoded.size)
+        encoded.into(memoryview(raw))
+        arrays = decode(
+            bytes(raw), kind="store", source="store", error=SharedStoreError
+        ).arrays
+        forged = encode("store", {"version": "v1"}, arrays)
+        name = segment_name(new_session(), 0)
+        shm = shared_memory.SharedMemory(name=name, create=True, size=forged.size)
+        try:
+            forged.into(shm.buf)
+            with pytest.raises(SharedStoreError, match="malformed store metadata"):
+                attach_snapshot(name)
+        finally:
+            shm.close()
+            shm.unlink()

@@ -153,7 +153,7 @@ _MANIFEST = {
     "missing_references": "skip",
     "log_digest": "0" * 64,
     "index_version": 1,
-    "index_file": "index-v00000001.npz",
+    "index_file": "index-v00000001.snap",
     "created_utc": "2026-01-01T00:00:00Z",
 }
 
