@@ -132,6 +132,8 @@ class FutureRank(RankingMethod):
         uniform_mass = max(1.0 - self.alpha - self.beta - self.gamma, 0.0) / n
 
         incidence = network.author_matrix if self.beta > 0 else None
+        # Bound once: ``.T`` builds a fresh CSC wrapper on every call.
+        transposed = incidence.T if incidence is not None else None
 
         def step(paper_scores: np.ndarray) -> np.ndarray:
             updated = (
@@ -142,7 +144,7 @@ class FutureRank(RankingMethod):
             if incidence is not None:
                 author_scores = _normalized(incidence @ paper_scores)
                 updated = updated + self.beta * _normalized(
-                    incidence.T @ author_scores
+                    transposed @ author_scores
                 )
             return updated
 
@@ -159,11 +161,12 @@ class FutureRank(RankingMethod):
     def fused_column(self, network: CitationNetwork):
         """FutureRank as one column of a fused solve.
 
-        The citation flow shares the stacked SpMV; the author
-        reinforcement and recency terms cannot be folded into a single
-        jump vector without changing float addition order, so they run
-        in a ``combine`` callback that mirrors :meth:`scores`'s step
-        expression term by term.
+        The citation flow shares the stacked SpMV, ``gamma * R^T`` is
+        the column's jump, and the uniform mass and the author
+        reinforcement are the column's ``uniform`` and ``incidence``
+        terms, which the solver adds after the jump in the order of
+        :meth:`scores`'s step, so the bits are the same.  Every FR
+        column of one network shares the author products.
         """
         if network.n_papers == 0 or (
             self.beta > 0 and not network.has_authors
@@ -173,30 +176,19 @@ class FutureRank(RankingMethod):
 
         n = network.n_papers
         operator = shared_operator(network)
-        time_vector = self.recency_weights(network)
-        uniform_mass = max(1.0 - self.alpha - self.beta - self.gamma, 0.0) / n
-        incidence = network.author_matrix if self.beta > 0 else None
-
-        def combine(applied: np.ndarray, current: np.ndarray) -> np.ndarray:
-            updated = (
-                self.alpha * applied
-                + self.gamma * time_vector
-                + uniform_mass
-            )
-            if incidence is not None:
-                author_scores = _normalized(incidence @ current)
-                updated = updated + self.beta * _normalized(
-                    incidence.T @ author_scores
-                )
-            return updated
-
         return FusedColumn(
             label=self.name,
             matrix=operator.sparse_part,
+            alpha=self.alpha,
+            jump=self.gamma * self.recency_weights(network),
             dangling=(
                 operator.dangling_mask if operator.n_dangling else None
             ),
-            combine=combine,
+            uniform=(
+                max(1.0 - self.alpha - self.beta - self.gamma, 0.0) / n
+            ),
+            incidence=network.author_matrix if self.beta > 0 else None,
+            beta=self.beta,
             normalize=True,
             tol=self.tol,
             max_iterations=self.max_iterations,

@@ -15,7 +15,11 @@ iteration**:
     U = diag(alpha) applied per column:  U[:, j] = alpha_j * Y[:, j] + J[:, j]
 
 followed by the per-column hygiene the scalar loop performs (dangling
-correction, L1 renormalisation, residual tracking).  Columns carry their
+correction, L1 renormalisation, residual tracking).  FutureRank adds
+two stacked terms after the jump: a uniform mass, and its author
+reinforcement ``beta * norm(B.T @ norm(B @ X))``, computed with one
+product each way over the whole stack per distinct incidence matrix
+``B`` (the other columns receive ``-0.0``).  Columns carry their
 own tolerance, iteration budget and convergence mask: a column whose L1
 residual drops below its tolerance is *dropped from the stack* and the
 remaining columns keep iterating on a compacted matrix, so a
@@ -54,6 +58,12 @@ elementwise equal to its scalar counterpart:
 * the 2-D broadcasts (``alpha_row * Y + J``, ``U / totals``,
   ``np.abs(U - X)``) are elementwise, so column ``j`` of the result
   equals the 1-D expression on column ``j``;
+* ``B @ X`` and ``B.T @ A`` run scipy's ``csr_matvecs`` and
+  ``csc_matvecs``, which accumulate each output column in the order
+  the 1-D ``csr_matvec`` and ``csc_matvec`` of the scalar step do;
+* adding ``-0.0`` leaves every value's bits alone (adding ``0.0``
+  does not: it turns ``-0.0`` into ``0.0``), so columns without
+  FutureRank's terms ride its broadcast adds;
 * row-chunked SpMV (the ``jobs > 1`` path) writes disjoint row slices
   ``Y[lo:hi] = M[lo:hi] @ X`` whose values equal the unchunked product.
 
@@ -89,14 +99,16 @@ import numpy as np
 import scipy.sparse as sp
 
 try:  # pragma: no cover - import guard exercised by environment
-    # The same C kernel scipy's ``csr @ dense`` dispatch lands on, but
-    # callable with a *preallocated* output (it accumulates into y).
-    # Calling it directly skips a fresh megabyte-scale result
-    # allocation per iteration; values are identical because scipy's
-    # own path is exactly zeros() + this kernel.
+    # The same C kernels scipy's ``csr @ dense`` and ``csr.T @ dense``
+    # dispatches land on, but callable with a *preallocated* output
+    # (they accumulate into y).  Calling them directly skips a fresh
+    # megabyte-scale result allocation per iteration; values are
+    # identical because scipy's own path is exactly zeros() + the
+    # kernel.
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 except ImportError:  # pragma: no cover
-    _csr_matvecs = None
+    _csc_matvecs = _csr_matvecs = None
 
 from repro._typing import FloatVector
 from repro.errors import ConfigurationError, ConvergenceError
@@ -179,12 +191,11 @@ class FusedColumn:
     """One method's column in a fused solve.
 
     A column is either *linear* — ``matrix`` is set, and one iteration
-    computes ``alpha * (matrix @ x + dangling correction) + jump`` — or
-    a bare ``step`` callable (the degenerate form
+    computes ``alpha * (matrix @ x + dangling correction) + jump``,
+    then adds ``uniform`` and the reinforcement term when set — or a
+    bare ``step`` callable (the degenerate form
     :func:`~repro.core.power_iteration.power_iterate` delegates
-    through).  Linear columns with a ``combine`` callback override the
-    affine update while still sharing the stacked SpMV (FutureRank's
-    author-reinforcement term).
+    through).
 
     Attributes
     ----------
@@ -197,18 +208,24 @@ class FusedColumn:
         Damping factor multiplying the SpMV result.
     jump:
         Additive vector of the affine update (teleport, attention jump,
-        entry distribution, ...).  Required for linear columns without
-        a ``combine`` callback.
+        entry distribution, ...).  Required for linear columns.
     dangling:
         Optional boolean mask of dangling papers; when set, the SpMV
         result receives the ``sum(x[dangling]) / n`` correction before
         damping, exactly as
         :meth:`~repro.graph.matrix.StochasticOperator.apply` does.
-    combine:
-        Optional ``(y, x) -> u`` callback replacing the affine update:
-        ``y`` is the (dangling-corrected) SpMV result, ``x`` the current
-        iterate, both 1-D contiguous.  Must mirror the method's scalar
-        step bit-for-bit.
+    uniform:
+        Optional scalar added to every entry after the jump
+        (FutureRank's ``(1 - alpha - beta - gamma) / n``).  ``None``
+        skips the add, which differs from adding ``0.0``: that turns
+        ``-0.0`` into ``0.0``.
+    incidence, beta:
+        Optional CSR incidence ``B`` (authors x papers) of a mutual
+        reinforcement term, added last: ``beta * norm(B.T @ norm(B @
+        x))``, where ``norm`` divides a vector by its sum, or returns
+        the uniform vector when the sum is not positive (FutureRank's
+        author term).  Columns sharing the *same* incidence object
+        share one product each way per iteration.
     step:
         Bare fixed-point map for non-linear columns; mutually exclusive
         with ``matrix``.
@@ -227,7 +244,9 @@ class FusedColumn:
     alpha: float = 0.0
     jump: FloatVector | None = None
     dangling: np.ndarray | None = None
-    combine: Callable[[FloatVector, FloatVector], FloatVector] | None = None
+    uniform: float | None = None
+    incidence: sp.csr_matrix | None = None
+    beta: float = 0.0
     step: Callable[[FloatVector], FloatVector] | None = None
     start: FloatVector | None = None
     normalize: bool = True
@@ -247,15 +266,14 @@ class FusedColumn:
                 f"column {self.label!r} must set exactly one of "
                 "matrix/step"
             )
-        if self.step is not None and self.combine is not None:
-            raise ConfigurationError(
-                f"column {self.label!r}: combine requires a matrix"
-            )
-        if (
-            self.matrix is not None
-            and self.combine is None
-            and self.jump is None
+        if self.step is not None and (
+            self.uniform is not None or self.incidence is not None
         ):
+            raise ConfigurationError(
+                f"column {self.label!r}: uniform and incidence require "
+                "a matrix"
+            )
+        if self.matrix is not None and self.jump is None:
             raise ConfigurationError(
                 f"column {self.label!r}: a linear column needs a jump "
                 "vector (pass zeros explicitly if the update has none)"
@@ -291,8 +309,16 @@ class _IterationPlan:
     dangling_groups: list[tuple[np.ndarray, list[int]]]
     #: Positions of bare-step columns (no matrix).
     step_positions: list[int]
-    #: Positions of combine-callback columns.
-    combine_positions: list[int]
+    #: Each column's uniform mass, and ``-0.0`` for columns without
+    #: one (adding ``-0.0`` leaves every value's bits alone; ``0.0``
+    #: would turn ``-0.0`` into ``0.0``); ``None`` when no column has
+    #: one.
+    uniform: np.ndarray | None
+    #: ``(incidence id, other positions, betas)`` per distinct
+    #: reinforcement incidence among the active columns: the positions
+    #: outside its group, and a row of each column's ``beta`` (0 off
+    #: the group).
+    reinforcement: list[tuple[int, list[int], np.ndarray]]
     #: Positions renormalised to sum 1 after every step.
     normalizing: list[int]
     #: Boolean mask over positions, True where the column normalises.
@@ -302,6 +328,71 @@ class _IterationPlan:
     #: Whether every active column carries a dangling mask (enables the
     #: broadcast correction add instead of per-column strided adds).
     dangling_all: bool
+
+
+def _product(
+    matrix: sp.csr_matrix,
+    block: np.ndarray,
+    out: np.ndarray,
+    *,
+    transpose: bool = False,
+) -> np.ndarray:
+    """``matrix @ block``, or ``matrix.T @ block``, into ``out``.
+
+    ``block`` and ``out`` are C-order ``(rows, columns)`` stacks.  The
+    kernels are the ones scipy's own ``@`` runs (``csr_matvecs``, and
+    ``csc_matvecs`` for the transpose, whose CSC arrays are ``matrix``'s
+    CSR arrays), so each column gets the bits of the 1-D product.
+    """
+    if _csr_matvecs is None:  # pragma: no cover
+        np.copyto(out, (matrix.T if transpose else matrix) @ block)
+        return out
+    rows, cols = matrix.shape
+    kernel = _csr_matvecs
+    if transpose:
+        rows, cols, kernel = cols, rows, _csc_matvecs
+    # The kernel trusts these sizes, and writes through out's memory.
+    if not (
+        out.flags.c_contiguous
+        and out.shape == (rows, block.shape[1])
+        and block.shape[0] == cols
+    ):
+        raise ValueError(
+            f"cannot multiply a {(rows, cols)} matrix by a "
+            f"{block.shape} stack into {out.shape}"
+        )
+    out.fill(0.0)
+    kernel(
+        rows,
+        cols,
+        block.shape[1],
+        matrix.indptr,
+        matrix.indices,
+        matrix.data,
+        block.ravel(),
+        out.ravel(),
+    )
+    return out
+
+
+def _normalize_columns(stack: np.ndarray) -> None:
+    """Divide each column of ``stack`` by its sum, in place.
+
+    A column whose sum is not positive becomes the uniform vector, as
+    in FutureRank's scalar ``_normalized``.  Each total is the 1-D
+    pairwise sum of its strided column (never an ``axis=0``
+    reduction), and one broadcast divides, so every column gets the
+    scalar bits.
+    """
+    totals = np.array(
+        [stack[:, column].sum() for column in range(stack.shape[1])],
+        dtype=stack.dtype,
+    )
+    empty = totals <= 0
+    totals[empty] = 1.0
+    np.divide(stack, totals, out=stack)
+    if empty.any():
+        stack[:, empty] = 1.0 / max(stack.shape[0], 1)
 
 
 class FusedSolver:
@@ -424,19 +515,28 @@ class FusedSolver:
                     f"column {column.label!r} matrix has shape "
                     f"{column.matrix.shape}, expected ({n}, {n})"
                 )
+            if (
+                column.incidence is not None
+                and column.incidence.shape[1] != n
+            ):
+                raise ConfigurationError(
+                    f"column {column.label!r} incidence has shape "
+                    f"{column.incidence.shape}, expected (*, {n})"
+                )
 
-        # Cast + row-chunk each distinct operator once per solve.
+        # Cast each distinct operator and incidence once per solve, and
+        # row-chunk the operators.
         prepared: dict[int, sp.csr_matrix] = {}
         chunked: dict[int, list[tuple[int, int, sp.csr_matrix]]] = {}
         for column in self._columns:
-            if column.matrix is None or id(column.matrix) in prepared:
-                continue
-            matrix = column.matrix
-            if matrix.dtype != dtype:
-                matrix = matrix.astype(dtype)
-            prepared[id(column.matrix)] = matrix
-            if self._jobs > 1:
-                chunked[id(column.matrix)] = self._chunks(matrix)
+            for matrix in (column.matrix, column.incidence):
+                if matrix is None or id(matrix) in prepared:
+                    continue
+                prepared[id(matrix)] = (
+                    matrix if matrix.dtype == dtype else matrix.astype(dtype)
+                )
+                if self._jobs > 1 and matrix is column.matrix:
+                    chunked[id(matrix)] = self._chunks(prepared[id(matrix)])
 
         results: list[tuple[FloatVector, ConvergenceInfo] | None] = [
             None
@@ -468,7 +568,7 @@ class FusedSolver:
                 alphas = np.zeros(len(batch), dtype=dtype)
                 for position, column in enumerate(batch):
                     XT[position] = self._prepared_start(column)
-                    if column.matrix is not None and column.combine is None:
+                    if column.matrix is not None:
                         J[:, position] = np.asarray(column.jump, dtype=dtype)
                         alphas[position] = column.alpha
                 self._iterate(
@@ -507,19 +607,8 @@ class FusedSolver:
         """
         if pool is None:
             matrix = prepared[matrix_key]
-            if out is not None and _csr_matvecs is not None:
-                out.fill(0.0)
-                _csr_matvecs(
-                    matrix.shape[0],
-                    matrix.shape[1],
-                    block.shape[1],
-                    matrix.indptr,
-                    matrix.indices,
-                    matrix.data,
-                    block.ravel(),
-                    out.ravel(),
-                )
-                return out
+            if out is not None:
+                return _product(matrix, block, out)
             return matrix @ block
         if out is None:
             out = np.empty_like(block)
@@ -538,11 +627,16 @@ class FusedSolver:
     def _plan(self, states: list[_ColumnState]) -> _IterationPlan:
         """Precompute the loop structure for the active column set."""
         groups: dict[int, list[int]] = {}
+        incidences: dict[int, list[int]] = {}
         for position, state in enumerate(states):
             if state.column.matrix is not None:
                 groups.setdefault(id(state.column.matrix), []).append(
                     position
                 )
+            if state.column.incidence is not None:
+                incidences.setdefault(
+                    id(state.column.incidence), []
+                ).append(position)
         dangling = [
             (position, state.column.dangling)
             for position, state in enumerate(states)
@@ -571,10 +665,30 @@ class FusedSolver:
                 for position, state in enumerate(states)
                 if state.column.step is not None
             ],
-            combine_positions=[
-                position
-                for position, state in enumerate(states)
-                if state.column.combine is not None
+            uniform=(
+                np.array(
+                    [
+                        -0.0 if s.column.uniform is None else s.column.uniform
+                        for s in states
+                    ],
+                    dtype=self._dtype,
+                )
+                if any(s.column.uniform is not None for s in states)
+                else None
+            ),
+            reinforcement=[
+                (
+                    key,
+                    [p for p in range(len(states)) if p not in positions],
+                    np.array(
+                        [
+                            states[p].column.beta if p in positions else 0.0
+                            for p in range(len(states))
+                        ],
+                        dtype=self._dtype,
+                    ),
+                )
+                for key, positions in incidences.items()
             ],
             normalizing=normalizing,
             normalizing_mask=normalizing_mask,
@@ -583,6 +697,47 @@ class FusedSolver:
             ],
             dangling_all=len(dangling) == len(states),
         )
+
+    def _reinforce(
+        self,
+        plan: _IterationPlan,
+        XT: np.ndarray,
+        U: np.ndarray,
+        stack: np.ndarray | None,
+        prepared: dict[int, sp.csr_matrix],
+        buffers: dict[int, tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Add ``beta * norm(B.T @ norm(B @ x))`` to each group's columns.
+
+        Both products run over the whole stack: ``stack`` is ``XT.T``
+        when the SpMV already built it this iteration (``None``
+        otherwise, and then ``papers``, free until the second product,
+        takes a copy).  The columns outside the group get ``-0.0``
+        added, which leaves their bits alone.  ``buffers`` holds each
+        group's ``(authors, papers)`` products for the current stack
+        width.
+        """
+        k = U.shape[1]
+        for key, others, betas in plan.reinforcement:
+            incidence = prepared[key]
+            if key not in buffers:
+                buffers[key] = (
+                    np.empty((incidence.shape[0], k), self._dtype),
+                    np.empty((self._n, k), self._dtype),
+                )
+            authors, papers = buffers[key]
+            operand = stack
+            if operand is None:
+                operand = papers
+                np.copyto(operand, XT.T)
+            _normalize_columns(_product(incidence, operand, authors))
+            _normalize_columns(
+                _product(incidence, authors, papers, transpose=True)
+            )
+            np.multiply(papers, betas, out=papers)
+            if others:
+                papers[:, others] = -0.0
+            np.add(U, papers, out=U)
 
     def _iterate(
         self,
@@ -611,6 +766,7 @@ class FusedSolver:
         spare: np.ndarray = np.empty_like(XT)
         y_buf: np.ndarray | None = None
         op_buf: np.ndarray | None = None
+        reinforcement_bufs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         while states:
             iteration += 1
             k = len(states)
@@ -626,9 +782,11 @@ class FusedSolver:
             # groups pay one gather + transpose (``order="C"`` matters:
             # plain np.array would keep the transposed layout).
             Y: np.ndarray | None = None
+            stacked = False  # whether op_buf holds XT.T this iteration
             for matrix_key, positions, covers_all in plan.groups:
                 if covers_all:
                     np.copyto(op_buf, XT.T)
+                    stacked = True
                     Y = self._spmv(
                         matrix_key,
                         prepared,
@@ -673,29 +831,13 @@ class FusedSolver:
                     for position, _ in plan.dangling:
                         Y[:, position] += corrections[position]  # type: ignore[index]
 
-            # --- the affine update, in place on the SpMV result (its
-            # combine-column inputs are snapshotted first).  Combine
-            # columns carry alpha=0 and a zero jump, so the broadcast
-            # writes zeros there and the callback overwrites them;
-            # standard columns get exactly the per-column expression
-            # (the broadcast is elementwise).
+            # --- the affine update, in place on the SpMV result: one
+            # elementwise broadcast, so each column gets exactly its
+            # scalar expression.
             if not plan.step_positions:
-                # .copy() — not ascontiguousarray — because a (n, 1)
-                # stack's lone column is already contiguous and a view
-                # would be corrupted by the in-place multiply below.
-                combine_inputs = [
-                    Y[:, position].copy()  # type: ignore[index]
-                    for position in plan.combine_positions
-                ]
                 np.multiply(Y, alphas_row, out=Y)
                 np.add(Y, J, out=Y)
                 U = Y
-                for position, applied in zip(
-                    plan.combine_positions, combine_inputs
-                ):
-                    U[:, position] = states[position].column.combine(
-                        applied, XT[position]
-                    )
             else:
                 # Bare-step columns (the power_iterate delegation) have
                 # no SpMV result to broadcast over; update per column.
@@ -706,16 +848,27 @@ class FusedSolver:
                     column = state.column
                     if column.step is not None:
                         U[:, position] = column.step(XT[position])
-                    elif column.combine is not None:
-                        U[:, position] = column.combine(
-                            np.ascontiguousarray(Y[:, position]),  # type: ignore[index]
-                            XT[position],
-                        )
                     else:
                         U[:, position] = (
                             column.alpha * Y[:, position]  # type: ignore[index]
                             + J[:, position]
                         )
+
+            # --- FutureRank's terms, in its scalar step's order: the
+            # uniform mass, then the author reinforcement.  A stack
+            # without FutureRank columns skips both.
+            if plan.uniform is not None:
+                np.add(U, plan.uniform, out=U)
+            if plan.reinforcement:
+                self._reinforce(
+                    plan,
+                    XT,
+                    U,
+                    op_buf if stacked else None,
+                    prepared,
+                    reinforcement_bufs,
+                )
+
             # The updated stack, transposed back into the spare row
             # buffer (an explicit strided copy — never a view, unlike
             # ascontiguousarray on a (n, 1) stack).  From here on only
@@ -811,6 +964,7 @@ class FusedSolver:
                 spare = np.empty_like(XT)
                 y_buf = None
                 op_buf = None
+                reinforcement_bufs = {}
             else:
                 # Swap: UT (== spare) becomes the new iterate, and the
                 # old XT — whose bits died in the residual step — is

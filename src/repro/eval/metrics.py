@@ -17,7 +17,7 @@ import numpy as np
 
 from repro._typing import FloatVector
 from repro.errors import EvaluationError
-from repro.ranking import ranking_from_scores
+from repro.ranking import top_k_indices
 
 __all__ = ["spearman_rho", "dcg_at_k", "ndcg_at_k", "Metric", "SpearmanRho", "NDCG"]
 
@@ -97,8 +97,10 @@ def ndcg_at_k(
         )
     if gains.size and gains.min() < 0:
         raise EvaluationError("relevance gains must be non-negative")
-    method_order = ranking_from_scores(scores)
-    ideal_order = ranking_from_scores(gains)
+    # Only the first k of each order count; a negative k still reaches
+    # dcg_at_k's check once both vectors are validated.
+    method_order = top_k_indices(scores, max(k, 0))
+    ideal_order = top_k_indices(gains, max(k, 0))
     ideal = dcg_at_k(gains[ideal_order], k)
     if ideal == 0:
         return 0.0

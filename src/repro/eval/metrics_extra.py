@@ -24,7 +24,7 @@ import numpy as np
 from repro._typing import FloatVector
 from repro.errors import EvaluationError
 from repro.eval.metrics import Metric
-from repro.ranking import ranking_from_scores
+from repro.ranking import top_k_indices
 
 __all__ = [
     "kendall_tau",
@@ -80,8 +80,8 @@ def overlap_at_k(
     if k < 1:
         raise EvaluationError(f"k must be >= 1, got {k}")
     k = min(k, scores.size)
-    top_method = ranking_from_scores(scores)[:k]
-    top_truth = ranking_from_scores(gains)[:k]
+    top_method = top_k_indices(scores, k)
+    top_truth = top_k_indices(gains, k)
     return float(np.intersect1d(top_method, top_truth).size) / k
 
 
@@ -108,8 +108,8 @@ def average_precision_at_k(
     if k < 1:
         raise EvaluationError(f"k must be >= 1, got {k}")
     k = min(k, scores.size)
-    relevant = set(ranking_from_scores(gains)[:k].tolist())
-    ranking = ranking_from_scores(scores)[:k]
+    relevant = set(top_k_indices(gains, k).tolist())
+    ranking = top_k_indices(scores, k)
     hits = 0
     precision_sum = 0.0
     for position, paper in enumerate(ranking.tolist(), start=1):

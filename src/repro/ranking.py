@@ -120,12 +120,8 @@ class RankingMethod(ABC):
         return self.describe()
 
 
-def ranking_from_scores(scores: FloatVector) -> IntVector:
-    """Indices sorted by decreasing score, ties broken by ascending index.
-
-    The deterministic tie-break makes every evaluation reproducible even
-    when a method assigns identical scores (e.g. citation count).
-    """
+def _checked_scores(scores: FloatVector) -> np.ndarray:
+    """``scores`` as a finite float64 vector, or a ConfigurationError."""
     array = np.asarray(scores, dtype=np.float64)
     if array.ndim != 1:
         raise ConfigurationError(
@@ -133,11 +129,34 @@ def ranking_from_scores(scores: FloatVector) -> IntVector:
         )
     if not np.all(np.isfinite(array)):
         raise ConfigurationError("scores contain non-finite values")
+    return array
+
+
+def ranking_from_scores(scores: FloatVector) -> IntVector:
+    """Indices sorted by decreasing score, ties broken by ascending index.
+
+    The deterministic tie-break makes every evaluation reproducible even
+    when a method assigns identical scores (e.g. citation count).
+    """
+    array = _checked_scores(scores)
     return np.lexsort((np.arange(array.size), -array)).astype(np.int64)
 
 
 def top_k_indices(scores: FloatVector, k: int) -> IntVector:
-    """The ``k`` highest-scoring paper indices, deterministic on ties."""
+    """The ``k`` highest-scoring paper indices, deterministic on ties.
+
+    Exactly ``ranking_from_scores(scores)[:k]``, without sorting every
+    paper: a partition finds the k-th highest score, and only the
+    candidates at or above it (every tie at the cut included) are
+    sorted, under the same (score, index) order.
+    """
     if k < 0:
         raise ConfigurationError(f"k must be non-negative, got {k}")
-    return ranking_from_scores(scores)[:k]
+    array = _checked_scores(scores)
+    if k == 0 or k >= array.size:
+        return ranking_from_scores(array)[:k]
+    negated = -array
+    cut = negated[np.argpartition(negated, k - 1)[k - 1]]
+    candidates = np.flatnonzero(negated <= cut)
+    order = np.lexsort((candidates, negated[candidates]))
+    return candidates[order[:k]].astype(np.int64)

@@ -9,6 +9,7 @@ convergence masks and any ``jobs`` value.  docs/SOLVER.md derives why.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,10 +25,14 @@ from repro.core.fused import (
     FusedColumn,
     FusedSolver,
     solve_methods,
+    stack_width,
 )
 from repro.core.power_iteration import power_iterate
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.eval.grids import grid_for
 from repro.eval.metrics import spearman_rho
+from repro.eval.split import split_by_ratio
+from repro.graph.citation_network import CitationNetwork
 from repro.synth.profiles import generate_dataset
 
 FUSABLE = [
@@ -311,19 +316,7 @@ def test_any_subset_any_drop_order_any_jobs(subset, jobs, data):
             st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
             label=f"tol[{FUSABLE[i][0]}]",
         )
-        columns.append(
-            FusedColumn(
-                label=c.label,
-                matrix=c.matrix,
-                alpha=c.alpha,
-                jump=c.jump,
-                dangling=c.dangling,
-                combine=c.combine,
-                start=c.start,
-                normalize=c.normalize,
-                tol=tol,
-            )
-        )
+        columns.append(dataclasses.replace(c, tol=tol))
     fused = FusedSolver(columns, net.n_papers, jobs=jobs).solve()
     for column, (scores, info) in zip(columns, fused):
         solo_scores, solo_info = FusedSolver(
@@ -332,3 +325,203 @@ def test_any_subset_any_drop_order_any_jobs(subset, jobs, data):
         np.testing.assert_array_equal(scores, solo_scores)
         assert info.iterations == solo_info.iterations
         assert info.residual_history == solo_info.residual_history
+
+
+# ---------------------------------------------------------------------------
+# FutureRank: uniform mass and author products stacked, still the
+# scalar bits.
+# ---------------------------------------------------------------------------
+
+
+#: The first 48 settings of the tuned FR grid: beta = 0 and beta > 0
+#: columns side by side, and rho changing from -0.82 to -0.62 after the
+#: 40th setting.
+FR_SETTINGS = list(grid_for("FR"))[:48]
+#: ECM columns share a retained matrix only at one gamma.
+ECM_SETTINGS = [
+    {"alpha": round(0.05 * step, 2), "gamma": 0.3} for step in range(1, 9)
+]
+AR_SETTINGS = [
+    {"alpha": a, "beta": b, "gamma": round(1.0 - a - b, 10)}
+    for a in (0.1, 0.2, 0.3, 0.4)
+    for b in (0.2, 0.3, 0.4)
+]
+
+
+@pytest.fixture(scope="module")
+def authored():
+    return generate_dataset("dblp", size="tiny", seed=7)
+
+
+def _reauthored(network, authors):
+    """``network`` with its author lists replaced."""
+    return CitationNetwork(
+        network.paper_ids,
+        network.publication_times,
+        network.citing,
+        network.cited,
+        paper_authors=authors,
+    )
+
+
+@pytest.fixture
+def stack_widths(monkeypatch):
+    """The column count of every FusedSolver that runs."""
+    widths = []
+    real_solve = FusedSolver.solve
+
+    def counting_solve(self):
+        widths.append(len(self._columns))
+        return real_solve(self)
+
+    monkeypatch.setattr(FusedSolver, "solve", counting_solve)
+    return widths
+
+
+def _assert_scalar_bits(network, specs, solved):
+    """Each stacked result equals its method's own ``scores()``."""
+    for (label, params), (scores, info) in zip(specs, solved):
+        solo = make_method(label, **params)
+        want = np.asarray(solo.scores(network))
+        np.testing.assert_array_equal(scores, want)
+        assert info.iterations == solo.last_convergence.iterations
+        assert info.residual == solo.last_convergence.residual
+        assert info.residual_history == solo.last_convergence.residual_history
+
+
+def _solve(network, specs, **options):
+    methods = [make_method(label, **params) for label, params in specs]
+    return solve_methods(network, methods, **options)
+
+
+class TestStackedFutureRank:
+    @pytest.mark.parametrize(
+        "authors",
+        ["all", "some papers without", "every list empty"],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_matches_scalar_solves(
+        self, authored, stack_widths, authors, jobs
+    ):
+        network = authored
+        if authors == "some papers without":
+            network = _reauthored(
+                authored,
+                [
+                    () if paper % 3 == 0 else listed
+                    for paper, listed in enumerate(authored.paper_authors)
+                ],
+            )
+        elif authors == "every list empty":
+            # No authors at all: B @ x is empty, so both normalisations
+            # take their zero-total fallback.
+            network = _reauthored(authored, [()] * authored.n_papers)
+            assert network.author_matrix.shape == (0, network.n_papers)
+        betas = {params["beta"] for params in FR_SETTINGS}
+        assert 0.0 in betas and len(betas) > 1
+        specs = [("FR", params) for params in FR_SETTINGS]
+        solved = _solve(network, specs, jobs=jobs)
+        # One solver, batched at stack_width columns; settings 39 and
+        # 40 (rho -0.82 and -0.62) share a batch.
+        assert stack_widths == [len(FR_SETTINGS)]
+        assert 40 % stack_width(network.n_papers) != 0
+        _assert_scalar_bits(network, specs, solved)
+
+    @pytest.mark.parametrize(
+        "fr, other",
+        [
+            # ECM has its own operator, so no stacked SpMV operand is
+            # built, and the author products copy the stack.
+            (FR_SETTINGS[34:46], [("ECM", p) for p in ECM_SETTINGS]),
+            # FR as a minority of one operator's stack: the author
+            # products run over the AR columns too, which get -0.0.
+            (FR_SETTINGS[36:44], [("AR", p) for p in AR_SETTINGS]),
+        ],
+        ids=["ECM", "AR"],
+    )
+    def test_beside_other_methods(self, authored, stack_widths, fr, other):
+        specs = [("FR", params) for params in fr] + other
+        solved = _solve(authored, specs)
+        assert stack_widths == [len(specs)]
+        _assert_scalar_bits(authored, specs, solved)
+
+    def test_other_columns_keep_signed_zeros(self, authored):
+        """The uniform row and the author products reach the columns
+        without them as added ``-0.0``, which leaves every bit alone;
+        ``+0.0`` would turn their ``-0.0`` entries into ``0.0``, which
+        ``np.array_equal`` cannot see, so bytes are compared."""
+        fr = [
+            make_method("FR", **params).fused_column(authored)
+            for params in FR_SETTINGS[:12]
+        ]
+        negative_zeros = np.full(authored.n_papers, -0.0)
+        signed = FusedColumn(
+            label="signed",
+            matrix=fr[0].matrix,
+            alpha=-0.0,
+            jump=negative_zeros,
+            start=negative_zeros,
+            normalize=False,
+        )
+        solo, solo_info = FusedSolver([signed], authored.n_papers).solve()[0]
+        assert np.signbit(solo).all()
+        stacked = FusedSolver(fr + [signed], authored.n_papers).solve()
+        scores, info = stacked[-1]
+        assert scores.tobytes() == solo.tobytes()
+        assert info.residual_history == solo_info.residual_history
+
+    def test_float32_within_documented_bounds(self, authored):
+        specs = [("FR", params) for params in FR_SETTINGS]
+        solved = _solve(authored, specs, dtype=np.float32)
+        for (label, params), (scores, _info) in zip(specs, solved):
+            assert scores.dtype == np.float32
+            want = np.asarray(make_method(label, **params).scores(authored))
+            wide = scores.astype(np.float64)
+            assert spearman_rho(wide, want) > 0.999
+            scale = float(np.abs(want).max())
+            assert float(np.abs(wide - want).max()) / scale < 1e-3
+
+    def test_product_refuses_mismatched_stacks(self, authored):
+        """The sparse kernels trust their sizes, so a stack of the
+        wrong shape, or an output that is not C-contiguous, is refused
+        before they run."""
+        incidence = authored.author_matrix
+        authors, papers = incidence.shape
+        block = np.ones((papers, 3))
+        fused_module._product(incidence, block, np.empty((authors, 3)))
+        for wrong_block, out in [
+            (np.ones((papers + 1, 3)), np.empty((authors, 3))),
+            (block, np.empty((authors, 2))),
+            (block, np.empty((3, authors)).T),
+        ]:
+            with pytest.raises(ValueError, match="cannot multiply"):
+                fused_module._product(incidence, wrong_block, out)
+        with pytest.raises(ValueError, match="cannot multiply"):
+            fused_module._product(
+                incidence, block, np.empty((papers, 3)), transpose=True
+            )
+
+    def test_uniform_and_incidence_need_a_matrix(self, authored):
+        with pytest.raises(ConfigurationError, match="require a matrix"):
+            FusedColumn(label="u", step=lambda x: x, uniform=0.0)
+        with pytest.raises(ConfigurationError, match="require a matrix"):
+            FusedColumn(
+                label="b",
+                step=lambda x: x,
+                incidence=authored.author_matrix,
+                beta=0.1,
+            )
+
+    @pytest.mark.slow
+    def test_tune_scale_grid(self):
+        """The tune workload's FR grid: dblp ``medium``, seed 1, ratio
+        1.6, all 120 settings, in the tuner's chunks."""
+        network = split_by_ratio(
+            generate_dataset("dblp", size="medium", seed=1), 1.6
+        ).current
+        grid = list(grid_for("FR"))
+        assert len(grid) == 120
+        width = stack_width(network.n_papers)
+        for lo in range(0, len(grid), width):
+            specs = [("FR", params) for params in grid[lo : lo + width]]
+            _assert_scalar_bits(network, specs, _solve(network, specs))

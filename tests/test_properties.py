@@ -16,12 +16,14 @@ then assert the structural invariants of the paper:
   network's event log is bit-identical to the cold batch compute, at
   any batch size, shard count, and checkpoint/resume point,
 * shard partitioners assign each paper independently of corpus order,
-* the ranking comparator ``(-score, index)`` is a total order.
+* the ranking comparator ``(-score, index)`` is a total order, and
+  the top-k selection is exactly the head of the full ranking.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,10 +33,13 @@ from repro.core.attrank import AttRank, attrank_matrix
 from repro.core.fused import FUSE_MIN_COLUMNS, solve_methods
 from repro.core.power_iteration import power_iterate
 from repro.core.recency import recency_vector
-from repro.eval.metrics import ndcg_at_k, spearman_rho
+from repro.errors import ConfigurationError
+from repro.eval.metrics import dcg_at_k, ndcg_at_k, spearman_rho
+from repro.eval.metrics_extra import average_precision_at_k, overlap_at_k
 from repro.eval.split import split_by_ratio
 from repro.graph.citation_network import CitationNetwork
 from repro.graph.matrix import StochasticOperator
+from repro.ranking import ranking_from_scores, top_k_indices
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -583,6 +588,111 @@ def test_ranking_comparator_consistent_under_relabeling(values, rand):
         scores[ranking_from_scores(scores)],
         relabeled[ranking_from_scores(relabeled)],
     )
+
+
+# ---------------------------------------------------------------------------
+# Top-k selection
+# ---------------------------------------------------------------------------
+
+
+#: Score vectors of every tie shape: a few values drawn with heavy
+#: repetition (signed zeros among them), all-equal vectors, and
+#: distinct floats.
+_ranked_scores = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), max_size=60),
+    st.builds(
+        lambda value, n: [value] * n,
+        st.sampled_from([0.0, -0.0, 3.0, -2.0]),
+        st.integers(0, 60),
+    ),
+    st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        max_size=60,
+    ),
+)
+
+
+def _cut_offs(n: int):
+    """k = 1, k at and past n, and anything in between."""
+    return st.one_of(
+        st.sampled_from([1, n, n + 1, n + 7]), st.integers(0, max(n, 1))
+    )
+
+
+@given(_ranked_scores, st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_k_is_the_head_of_the_full_ranking(values, data):
+    scores = np.asarray(values, dtype=np.float64)
+    k = data.draw(_cut_offs(scores.size), label="k")
+    head = top_k_indices(scores, k)
+    full = ranking_from_scores(scores)[:k]
+    assert head.dtype == full.dtype
+    np.testing.assert_array_equal(head, full)
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=150, deadline=None)
+def test_top_k_metrics_equal_full_sort_references(n, data):
+    """nDCG@k, overlap@k and AP@k computed from the top-k selection
+    equal (``==``) the same formulas over the two full rankings."""
+    tied = st.sampled_from([0.0, -0.0, 0.5, 1.0, 7.0])
+    scores = np.asarray(
+        data.draw(
+            st.lists(tied, min_size=n, max_size=n)
+            | st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n),
+            label="scores",
+        )
+    )
+    gains = np.asarray(
+        data.draw(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0]),
+                min_size=n,
+                max_size=n,
+            ),
+            label="gains",
+        )
+    )
+    k = data.draw(_cut_offs(n).filter(lambda k: k >= 1), label="k")
+    method = ranking_from_scores(scores)
+    ideal = ranking_from_scores(gains)
+    ideal_dcg = dcg_at_k(gains[ideal], k)
+    ndcg = 0.0 if ideal_dcg == 0 else dcg_at_k(gains[method], k) / ideal_dcg
+    assert ndcg_at_k(scores, gains, k) == ndcg
+    depth = min(k, n)
+    assert overlap_at_k(scores, gains, k) == (
+        float(np.intersect1d(method[:depth], ideal[:depth]).size) / depth
+    )
+    relevant = set(ideal[:depth].tolist())
+    hits, precision = 0, 0.0
+    for position, paper in enumerate(method[:depth].tolist(), start=1):
+        if paper in relevant:
+            hits += 1
+            precision += hits / position
+    assert average_precision_at_k(scores, gains, k) == precision / depth
+
+
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(0, 39),
+    st.integers(0, 45),
+)
+@settings(max_examples=60, deadline=None)
+def test_non_finite_scores_or_gains_raise(values, bad, where, k):
+    """NaN or an infinity anywhere — scores or gains, at any k — is a
+    ConfigurationError, as the full ranking raises.  (A gain of -inf
+    is refused earlier, as a negative gain.)"""
+    clean = np.asarray(values)
+    damaged = clean.copy()
+    damaged[where % clean.size] = bad
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        top_k_indices(damaged, k)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        ndcg_at_k(damaged, clean, max(k, 1))
+    if bad != -np.inf:
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            ndcg_at_k(clean, damaged, max(k, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ scenario.
 """
 
 import multiprocessing
-from multiprocessing import shared_memory
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import SharedStoreError
 from repro.serve import ScoreIndex, ShardedScoreIndex
 from repro.serve.shm import (
@@ -21,6 +25,7 @@ from repro.serve.shm import (
     SharedStorePublisher,
     SharedStoreReader,
     _attach,
+    _create,
     _unlink,
     attach_snapshot,
     board_name,
@@ -118,16 +123,14 @@ class TestSegmentRoundTrip:
 
     def test_bad_magic_is_a_typed_error(self):
         name = segment_name(new_session(), 0)
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=64
-        )
+        shm = _create(name, 64)
         try:
             shm.buf[:8] = b"NOTREPRO"
             with pytest.raises(SharedStoreError, match="bad magic"):
                 attach_snapshot(name)
         finally:
             shm.close()
-            shm.unlink()
+            _unlink(name)
 
     def test_missing_segment_is_a_typed_error(self):
         with pytest.raises(SharedStoreError, match="does not exist"):
@@ -223,15 +226,13 @@ class TestGenerationBoard:
 
     def test_attach_rejects_non_board_segment(self):
         session, lock = new_session(), _lock()
-        shm = shared_memory.SharedMemory(
-            name=board_name(session), create=True, size=1024
-        )
+        shm = _create(board_name(session), 1024)
         try:
             with pytest.raises(SharedStoreError, match="not a generation"):
                 GenerationBoard.attach(session, lock)
         finally:
             shm.close()
-            shm.unlink()
+            _unlink(board_name(session))
 
     def test_destroy_leaves_dev_shm_empty(self):
         session, lock = new_session(), _lock()
@@ -371,11 +372,47 @@ class TestCorruptSegments:
         ).arrays
         forged = encode("store", {"version": "v1"}, arrays)
         name = segment_name(new_session(), 0)
-        shm = shared_memory.SharedMemory(name=name, create=True, size=forged.size)
+        shm = _create(name, forged.size)
         try:
             forged.into(shm.buf)
             with pytest.raises(SharedStoreError, match="malformed store metadata"):
                 attach_snapshot(name)
         finally:
             shm.close()
-            shm.unlink()
+            _unlink(name)
+
+
+#: The tests that attach a segment they made themselves, with content
+#: the module must refuse.
+HOSTILE_SEGMENT_TESTS = (
+    "TestSegmentRoundTrip::test_bad_magic_is_a_typed_error",
+    "TestGenerationBoard::test_attach_rejects_non_board_segment",
+    "TestCorruptSegments::test_malformed_store_metadata_is_typed",
+)
+
+
+def test_hostile_segments_leave_the_resource_tracker_quiet():
+    """Run in a child interpreter, the hostile-segment tests print no
+    resource-tracker traceback at exit.  Made with the stdlib's
+    ``SharedMemory(create=True)`` and dropped with its ``unlink()``,
+    they did: the tracker keeps names in a set, so the attach's
+    unregister removed the creator's registration, and ``unlink()``'s
+    second unregister raised ``KeyError`` inside the tracker."""
+    here = Path(__file__).resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + [f"{here}::{test}" for test in HOSTILE_SEGMENT_TESTS],
+        cwd=here.parents[1],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "3 passed" in done.stdout, done.stdout
+    assert "Traceback" not in done.stderr, done.stderr
