@@ -118,6 +118,14 @@ class WSDMRanker(RankingMethod):
             ("wsdm_row_mean", "venues"),
             lambda: _row_mean_operator(network.venue_matrix),
         )
+        # Bound once beside them: ``.T`` builds a fresh CSC wrapper on
+        # every call (the product is the same ``csc_matvec``).
+        author_spread = memoize_on(
+            network, ("wsdm_row_mean_t", "authors"), lambda: author_mean.T
+        )
+        venue_spread = memoize_on(
+            network, ("wsdm_row_mean_t", "venues"), lambda: venue_mean.T
+        )
 
         prior = _normalized(
             self.alpha * np.log1p(network.in_degree.astype(np.float64))
@@ -128,8 +136,8 @@ class WSDMRanker(RankingMethod):
         for _ in range(self.iterations):
             author_scores = author_mean @ scores
             venue_scores = venue_mean @ scores
-            from_authors = _normalized(author_mean.T @ author_scores)
-            from_venues = _normalized(venue_mean.T @ venue_scores)
+            from_authors = _normalized(author_spread @ author_scores)
+            from_venues = _normalized(venue_spread @ venue_scores)
             inflow = _normalized(citation_flow.apply(scores))
             scores = _normalized(
                 inflow + from_authors + from_venues + prior

@@ -91,9 +91,10 @@ docs/SOLVER.md.
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -278,6 +279,51 @@ class FusedColumn:
                 f"column {self.label!r}: a linear column needs a jump "
                 "vector (pass zeros explicitly if the update has none)"
             )
+
+    def key(self) -> Hashable | None:
+        """A hashable name of the fixed-point problem this column poses.
+
+        Columns with equal keys iterate to the same bits, so a sweep
+        solves one of them for all (:meth:`repro.eval.tuning.Tuner.sweep`).
+        ``matrix``, ``dangling`` and ``incidence`` enter by identity:
+        whoever compares keys must keep those objects alive meanwhile,
+        or a freed object's ``id`` could name the next allocation.
+        ``jump`` and ``start`` enter by the SHA-256 of their float64
+        bytes, the scalars by their exact bits (so ``0.0`` and ``-0.0``,
+        which the solver tells apart, stay apart), and ``label`` not at
+        all: NO-ATT's columns are AttRank's.  A bare-step column returns
+        ``None``, since its map cannot be compared; it is never merged.
+        """
+        if self.step is not None:
+            return None
+        jump = _digest(self.jump)
+        return (
+            id(self.matrix),
+            id(self.dangling),
+            id(self.incidence),
+            _bits(self.alpha),
+            _bits(self.uniform),
+            _bits(self.beta),
+            jump,
+            jump if self.start is self.jump else _digest(self.start),
+            bool(self.normalize),
+            _bits(self.tol),
+            int(self.max_iterations),
+            bool(self.raise_on_failure),
+        )
+
+
+def _bits(value: float | None) -> str | None:
+    return None if value is None else float(value).hex()
+
+
+def _digest(vector: FloatVector | None) -> bytes | None:
+    """SHA-256 of ``vector``'s float64 bytes, read in place."""
+    if vector is None:
+        return None
+    return hashlib.sha256(
+        np.ascontiguousarray(vector, dtype=np.float64)
+    ).digest()
 
 
 @dataclass

@@ -7,6 +7,8 @@ boundaries while still being able to distinguish failure modes.
 
 from __future__ import annotations
 
+from functools import partial
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -52,6 +54,15 @@ class ConvergenceError(ReproError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # The default reduction rebuilds ``cls(*args)``, which lacks the
+        # keywords: an error raised on a worker process could not be
+        # unpickled, and the pool would break instead of re-raising it.
+        rebuild = partial(
+            type(self), iterations=self.iterations, residual=self.residual
+        )
+        return rebuild, self.args, self.__dict__
 
 
 class EvaluationError(ReproError):

@@ -9,15 +9,23 @@ best-scoring setting along with the full sweep (the sweep is what the
 heatmap figures visualise).
 
 Every grid is solved by one bounded-memory fused sweep
-(:meth:`Tuner.sweep`).  A (split, method) grid is cut into chunks of the
-width the fused solver batches at (:func:`repro.core.fused.stack_width`,
-16 columns on the benchmark corpora).  Each chunk is solved in one
+(:meth:`Tuner.sweep`).  Each distinct fixed-point problem is solved
+once: a point whose fused column has the key
+(:meth:`repro.core.fused.FusedColumn.key`) of an earlier point on the
+same split reads that point's values.  The paper's grids repeat
+problems: NO-ATT is AttRank's ``beta = 0`` slice, ``beta = 0`` makes
+AttRank's attention window irrelevant, and ``gamma = 0`` FutureRank's
+``rho``.  The remaining points of a (split, method) grid are cut into
+chunks of the width the fused solver batches at
+(:func:`repro.core.fused.stack_width`, 16 columns on the benchmark
+corpora).  Each chunk is solved in one
 :func:`~repro.core.fused.solve_methods` pass and scored under every
 metric asked for, and only the numbers are kept, so the score vectors
 of one chunk at a time are alive.  The numbers are reduced in grid
-order: the best setting is the first strictly greater score.  Fused
-and point-by-point solves are bit-identical, so every sweep value
-equals :func:`evaluate_setting` at that point.
+order: the best setting is the first strictly greater score.  A
+column's vector depends only on its inputs, and fused and
+point-by-point solves are bit-identical, so every sweep value equals
+:func:`evaluate_setting` at that point.
 
 :class:`Tuner` scores chunks in-process.
 :class:`repro.parallel.ExperimentEngine` inherits the protocols and
@@ -27,7 +35,7 @@ only changes where chunks run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from repro._typing import FloatVector
@@ -105,7 +113,7 @@ def evaluate_setting(
 
 @dataclass(frozen=True)
 class SweepChunk:
-    """Consecutive grid points of one method, solved as one stack.
+    """Consecutive distinct grid points of one method, solved as one stack.
 
     Attributes
     ----------
@@ -196,9 +204,13 @@ class Tuner:
         """Tune every ``(split_key, method, points)`` grid under every metric.
 
         Returns, per grid, one :class:`TuningResult` per metric.  Each
-        grid is solved once, in chunks of the fused solver's batch
-        width for its split; all chunks go to :meth:`map_chunks` in one
-        call and are reduced in submission order.
+        point's fused column is built on its split and keyed, one column
+        alive at a time; only the first point of each key, and every
+        point without a column (the closed forms, WSDM), is solved.  The
+        solved points of a grid are cut into chunks of the fused
+        solver's batch width for its split; all chunks go to
+        :meth:`map_chunks` in one call, and every point reads the values
+        of the point that solved its problem.
 
         Raises
         ------
@@ -207,23 +219,51 @@ class Tuner:
         """
         metrics = tuple(metrics)
         chunks: list[SweepChunk] = []
+        # Per grid, per point: the row of the solved values it reads.
+        sources: list[list[int]] = []
+        first_row: dict[Hashable, int] = {}
+        # Keys name matrices by ``id``: holding every keyed object until
+        # the sweep ends keeps a freed one's id from naming another.
+        held: list[Any] = []
+        solved = 0
         for split_key, method, points in grids:
             if not points:
                 raise EvaluationError(
                     f"empty parameter grid for method {method!r}"
                 )
-            width = stack_width(splits[split_key].current.n_papers)
+            network = splits[split_key].current
+            kept: list[Mapping[str, Any]] = []
+            rows: list[int] = []
+            for params in points:
+                column = make_method(method, **params).fused_column(network)
+                key = None if column is None else column.key()
+                if key is not None:
+                    # Metric values are shared, not vectors, and they
+                    # also depend on the split's ground truth.
+                    key = (split_key, key)
+                    if key in first_row:
+                        rows.append(first_row[key])
+                        continue
+                    first_row[key] = solved
+                    held.append(
+                        (column.matrix, column.dangling, column.incidence)
+                    )
+                rows.append(solved)
+                kept.append(params)
+                solved += 1
+            sources.append(rows)
+            width = stack_width(network.n_papers)
             chunks.extend(
                 SweepChunk(
-                    split_key, method, tuple(points[lo : lo + width]), metrics
+                    split_key, method, tuple(kept[lo : lo + width]), metrics
                 )
-                for lo in range(0, len(points), width)
+                for lo in range(0, len(kept), width)
             )
-        rows = chain.from_iterable(self.map_chunks(splits, chunks))
+        values = list(chain.from_iterable(self.map_chunks(splits, chunks)))
         results: list[tuple[TuningResult, ...]] = []
-        for _split_key, method, points in grids:
+        for (_split_key, method, points), rows in zip(grids, sources):
             # One row per point, one column per metric.
-            columns = zip(*islice(rows, len(points)))
+            columns = zip(*(values[row] for row in rows))
             results.append(
                 tuple(
                     _reduce(method, metric, points, scores)

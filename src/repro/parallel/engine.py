@@ -12,9 +12,10 @@ sweep's chunks run:
 * ``jobs > 1`` scores them on a :mod:`concurrent.futures` process pool.
   The protocol's splits are shipped once per worker (pool initializer),
   each task is one chunk (a fused stack of consecutive grid points of
-  one method), and results come back in submission order, so sweeps,
-  tie-breaks and series are bit-identical to ``jobs=1`` for any
-  ``jobs`` value.
+  one method; the sweep keys every point in this process, so a problem
+  the grids repeat reaches the workers once), and results come back in
+  submission order, so sweeps, tie-breaks and series are bit-identical
+  to ``jobs=1`` for any ``jobs`` value.
 """
 
 from __future__ import annotations

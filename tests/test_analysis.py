@@ -62,6 +62,34 @@ class TestHeatmap:
         dominated by the best beta > 0 cell."""
         assert sweep.best_overall()["value"] > sweep.no_att_maximum()
 
+    def test_every_cell_equals_its_own_solve(self, hepth_split):
+        """The full Table-3 sweep solves each beta = 0 cell once for
+        all windows; every cell still equals its scalar solve."""
+        from repro.core.recency import fit_decay_rate
+        from repro.eval.tuning import evaluate_setting
+
+        metric = NDCG(50)
+        sweep = attention_heatmap(hepth_split, metric)
+        decay = fit_decay_rate(hepth_split.current).decay_rate
+        cells = 0
+        for window, grid in sweep.values.items():
+            for b, beta in enumerate(sweep.betas):
+                for a, alpha in enumerate(sweep.alphas):
+                    if np.isnan(grid[b, a]):
+                        continue
+                    cells += 1
+                    params = {
+                        "alpha": alpha,
+                        "beta": beta,
+                        "gamma": round(1.0 - alpha - beta, 10),
+                        "attention_window": float(window),
+                        "decay_rate": decay,
+                    }
+                    assert grid[b, a] == evaluate_setting(
+                        "AR", params, hepth_split, metric
+                    )
+        assert cells == 250
+
 
 class TestRecentlyPopular:
     def test_overlap_bounds(self, hepth_split):

@@ -1,15 +1,65 @@
 """Unit tests for repro.eval.tuning (grid search)."""
 
-from itertools import cycle, islice
+from itertools import chain, islice
 
+import numpy as np
 import pytest
 
 from repro.core.fused import FUSE_MIN_COLUMNS, stack_width
 from repro.errors import EvaluationError
+from repro.eval.experiment import COMPARISON_METHODS
 from repro.eval.grids import attrank_grid, futurerank_grid
 from repro.eval.metrics import NDCG, SpearmanRho
 from repro.eval.tuning import evaluate_setting, tune_method, tune_methods
 from repro.parallel import ExperimentEngine
+
+
+def problem(method, params):
+    """The fixed-point problem a grid point poses, read off its params.
+
+    ``None`` for a closed form, which has no fixed point to share: every
+    such point is solved.  Otherwise NO-ATT is AttRank, ``beta = 0``
+    leaves AttRank's attention window without effect, and ``gamma = 0``
+    FutureRank's ``rho``.
+    """
+    if method in ("RAM", "WSDM"):
+        return None
+    if method in ("NO-ATT", "ATT-ONLY"):
+        method = "AR"
+    relevant = dict(params)
+    if method == "AR":
+        if relevant["alpha"] == 0.0:
+            return None
+        if relevant["beta"] == 0.0:
+            del relevant["attention_window"]
+    if method == "FR" and relevant["gamma"] == 0.0:
+        del relevant["rho"]
+    return method, tuple(sorted(relevant.items()))
+
+
+def distinct_problems(method, points):
+    """``points`` without those repeating an earlier point's problem."""
+    seen = set()
+    for params in points:
+        key = problem(method, params)
+        if key is None or key not in seen:
+            seen.add(key)
+            yield params
+
+
+class CountingEngine(ExperimentEngine):
+    """Records the chunks a sweep solves and the value rows they return."""
+
+    def __init__(self, jobs):
+        super().__init__(jobs)
+        self.chunks = []
+        self.rows = 0
+
+    def map_chunks(self, splits, chunks):
+        self.chunks.extend(chunks)
+        scored = list(super().map_chunks(splits, chunks))
+        self.rows += sum(len(rows) for rows in scored)
+        return scored
 
 
 class TestEvaluateSetting:
@@ -76,10 +126,11 @@ class TestTuneMethods:
 class TestChunkedSweep:
     """A grid spanning several solver batches sweeps point for point.
 
-    The grid covers two full chunks plus a tail narrower than
-    ``FUSE_MIN_COLUMNS``, so the sweep takes both the stacked solve and
-    the tail's scalar fallback; every value must equal the scalar
-    reference bit for bit.
+    The points are distinct problems covering two full chunks plus a
+    tail narrower than ``FUSE_MIN_COLUMNS``, so the sweep takes both the
+    stacked solve and the tail's scalar fallback; every value must equal
+    the scalar reference bit for bit.  FutureRank's grid holds 110
+    distinct problems, so its list goes on with rho values outside it.
     """
 
     TAIL = 3
@@ -91,10 +142,32 @@ class TestChunkedSweep:
         self, dblp_split, method, grid
     ):
         width = stack_width(dblp_split.current.n_papers)
-        assert self.TAIL < FUSE_MIN_COLUMNS
-        points = list(islice(cycle(grid()), 2 * width + self.TAIL))
+        candidates = grid()
+        if method == "FR":
+            candidates = chain(
+                candidates,
+                (
+                    {**params, "rho": rho}
+                    for rho in (-0.32, -0.22)
+                    for params in futurerank_grid()
+                    if params["rho"] == -0.82
+                ),
+            )
+        points = list(
+            islice(
+                distinct_problems(method, candidates),
+                2 * width + self.TAIL,
+            )
+        )
+        assert len(points) == 2 * width + self.TAIL
         metric = NDCG(50)
-        serial = tune_method(method, points, dblp_split, metric)
+        engine = CountingEngine(jobs=1)
+        serial = engine.tune_method(method, points, dblp_split, metric)
+        # The last chunk takes the scalar fallback: it is narrower than
+        # FUSE_MIN_COLUMNS, and every point in it iterates.
+        tail = engine.chunks[-1].points
+        assert len(tail) == self.TAIL < FUSE_MIN_COLUMNS
+        assert all(problem(method, params) for params in tail)
         assert [entry.score for entry in serial.sweep] == [
             evaluate_setting(method, params, dblp_split, metric)
             for params in points
@@ -104,3 +177,57 @@ class TestChunkedSweep:
         )
         assert pooled.sweep == serial.sweep
         assert pooled.best == serial.best
+
+
+class TestDistinctProblems:
+    """A sweep solves each distinct fixed-point problem once."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_full_lineup_solves_each_problem_once(
+        self, dblp_tiny, dblp_split, jobs
+    ):
+        engine = CountingEngine(jobs)
+        metric = NDCG(50)
+        panel = engine.compare_over_ratios(
+            dblp_tiny, metric=metric, test_ratios=(dblp_split.test_ratio,)
+        )
+        assert tuple(panel.cells) == COMPARISON_METHODS
+        problems, closed_forms, settings = set(), 0, 0
+        for method, (cell,) in panel.cells.items():
+            for entry in cell.result.sweep:
+                assert entry.score == evaluate_setting(
+                    method, entry.params, dblp_split, metric
+                )
+                settings += 1
+                key = problem(method, entry.params)
+                if key is None:
+                    closed_forms += 1
+                else:
+                    problems.add(key)
+        # The paper's grids: 504 settings, of which 55 repeat a problem.
+        assert settings == 504
+        assert engine.rows == closed_forms + len(problems) == 449
+
+    def test_near_repeats_are_never_merged(self, dblp_split):
+        base = {
+            "alpha": 0.2,
+            "beta": 0.5,
+            "gamma": 0.3,
+            "attention_window": 3.0,
+        }
+        points = [
+            base,
+            {**base, "tol": 1e-11},
+            {**base, "max_iterations": 999},
+            {**base, "alpha": float(np.nextafter(0.2, 1.0))},
+            dict(base),  # an exact repeat, the one point merged
+        ]
+        metric = NDCG(50)
+        engine = CountingEngine(jobs=1)
+        result = engine.tune_method("AR", points, dblp_split, metric)
+        assert engine.rows == len(points) - 1
+        assert [entry.params for entry in result.sweep] == points
+        assert [entry.score for entry in result.sweep] == [
+            evaluate_setting("AR", params, dblp_split, metric)
+            for params in points
+        ]

@@ -525,3 +525,69 @@ class TestStackedFutureRank:
         for lo in range(0, len(grid), width):
             specs = [("FR", params) for params in grid[lo : lo + width]]
             _assert_scalar_bits(network, specs, _solve(network, specs))
+
+
+class TestColumnKey:
+    """``FusedColumn.key`` names the fixed-point problem of a column."""
+
+    @pytest.fixture
+    def column(self, authored):
+        # FutureRank's column sets every linear field: a dangling mask,
+        # the uniform mass (0.0 here) and the author incidence.
+        column = make_method(
+            "FR", alpha=0.4, beta=0.1, gamma=0.5, rho=-0.62
+        ).fused_column(authored)
+        assert column.dangling is not None and column.uniform == 0.0
+        return column
+
+    def test_same_inputs_same_key(self, authored, column):
+        again = make_method(
+            "FR", alpha=0.4, beta=0.1, gamma=0.5, rho=-0.62
+        ).fused_column(authored)
+        assert again.jump is not column.jump
+        assert again.key() == column.key()
+        hash(column.key())
+
+    def test_every_field_but_label_enters_the_key(self, column):
+        jump = np.array(column.jump)
+        jump[0] = np.nextafter(jump[0], 1.0)
+        perturbed = {
+            "matrix": {"matrix": column.matrix.copy()},
+            "alpha": {"alpha": np.nextafter(column.alpha, 1.0)},
+            "jump": {"jump": jump},
+            "dangling": {"dangling": column.dangling.copy()},
+            "uniform": {"uniform": None},
+            "incidence": {"incidence": column.incidence.copy()},
+            "beta": {"beta": np.nextafter(column.beta, 1.0)},
+            "step": {
+                "step": lambda x: x,
+                "matrix": None,
+                "uniform": None,
+                "incidence": None,
+            },
+            "start": {"start": np.array(column.jump)},
+            "normalize": {"normalize": not column.normalize},
+            "tol": {"tol": np.nextafter(column.tol, 1.0)},
+            "max_iterations": {"max_iterations": column.max_iterations + 1},
+            "raise_on_failure": {
+                "raise_on_failure": not column.raise_on_failure
+            },
+        }
+        # A field added to FusedColumn must be named here, and so keyed.
+        assert set(perturbed) == {
+            field.name for field in dataclasses.fields(FusedColumn)
+        } - {"label"}
+        key = column.key()
+        for name, changes in perturbed.items():
+            assert dataclasses.replace(column, **changes).key() != key, name
+        assert dataclasses.replace(column, label="other").key() == key
+
+    def test_signed_zero_scalars_stay_apart(self, column):
+        # Adding 0.0 turns -0.0 into 0.0, so the two are different maps.
+        assert (
+            dataclasses.replace(column, uniform=-0.0).key()
+            != dataclasses.replace(column, uniform=0.0).key()
+        )
+
+    def test_bare_step_column_has_no_key(self):
+        assert FusedColumn(label="step", step=lambda x: x).key() is None

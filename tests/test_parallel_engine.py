@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, EvaluationError
+from repro.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    EvaluationError,
+)
 from repro.eval.experiment import compare_over_ratios
 from repro.eval.grids import attrank_grid, ram_grid
 from repro.eval.metrics import NDCG, SpearmanRho
@@ -197,11 +201,28 @@ class TestMapEvaluations:
             ]
 
     def test_worker_errors_propagate(self, hepth_split):
+        """A solve that fails on a worker re-raises its own error."""
+        grids = {
+            # One iteration cannot reach the tolerance.
+            "AR": [{"alpha": 0.5, "beta": 0.3, "max_iterations": 1}],
+            "CR": [{"alpha": 0.5, "tau_dir": 2.0}],
+        }
+        with pytest.raises(ConvergenceError) as caught:
+            ExperimentEngine(jobs=2).tune_methods(
+                grids, hepth_split, SpearmanRho()
+            )
+        assert caught.value.iterations == 1
+
+    def test_invalid_settings_fail_before_any_worker(self, hepth_split):
+        """Every point's method is built in this process, to key it."""
+
+        class NoPool(ExperimentEngine):
+            def map_chunks(self, splits, chunks):
+                raise AssertionError("chunks reached the pool")
+
         grids = {
             "RAM": [{"gamma": 2.0}],  # invalid: gamma must be <= 1
             "CR": [{"alpha": 0.5, "tau_dir": 2.0}],
         }
         with pytest.raises(ConfigurationError, match="gamma"):
-            ExperimentEngine(jobs=2).tune_methods(
-                grids, hepth_split, SpearmanRho()
-            )
+            NoPool(jobs=2).tune_methods(grids, hepth_split, SpearmanRho())

@@ -1,10 +1,12 @@
 """Tests of the package-level public API and the error hierarchy."""
 
 import inspect
+import pickle
 
 import pytest
 
 import repro
+from repro import errors
 from repro.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -76,6 +78,25 @@ class TestErrorHierarchy:
         assert isinstance(error, ReproError)
         assert error.iterations == 7
         assert error.residual == 0.5
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            cls
+            for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, ReproError)
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_pickle_round_trip(self, cls):
+        """Errors cross process boundaries (the experiment engine's
+        workers), so each must unpickle to an equal error."""
+        keywords = {ConvergenceError: {"iterations": 1, "residual": 0.25}}
+        error = cls("boom", **keywords.get(cls, {}))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert copy.args == error.args
+        assert vars(copy) == vars(error)
 
     def test_single_catch_at_api_boundary(self, toy):
         """Any library failure is catchable as ReproError (the CLI
