@@ -27,7 +27,7 @@ Scenario catalogue
 ``serve_batch``
     The batched read path: a mixed batch of top-k / filtered /
     compare / paper queries answered by the sharded
-    :class:`~repro.serve.QueryEngine` (``--shards``, ``--jobs``)
+    :class:`~repro.serve.QueryEngine` (``--shards``)
     vs the same queries issued one at a time against an unsharded
     :class:`~repro.serve.RankingService`, with a bit-identical check.
 ``stream``
@@ -56,8 +56,7 @@ Scenario catalogue
     The fused multi-method solver core: tuning grids and a serving
     panel solved per-method vs stacked
     (:func:`repro.core.fused.solve_methods`), with a bit-identity
-    check on every float64 leg and a float32 accuracy leg
-    (rank agreement + relative error vs float64).
+    check on every leg.
 ``obs_overhead``
     The cost of the observability plane: the same static loadgen run
     with observability disabled, in the production posture (INFO event
@@ -270,12 +269,19 @@ def _bench_serve_delta(config: BenchConfig) -> dict[str, Any]:
         index = ScoreIndex(base)
         for label in methods:
             index.add_method(label)
-        updater = DeltaUpdater(index, warm=warm)
+        updater = DeltaUpdater(index)
         started = time.perf_counter()
-        report = updater.apply(delta)
+        if warm:
+            entries = updater.apply(delta).entries
+        else:
+            # The same extension, every method re-solved from its
+            # canonical start.
+            entries = index.refresh(
+                updater.extend_network(delta), warm=False
+            )
         elapsed = time.perf_counter() - started
         iterations = {
-            label: entry.iterations for label, entry in report.entries.items()
+            label: entry.iterations for label, entry in entries.items()
         }
         return elapsed, iterations
 
@@ -836,7 +842,7 @@ def _bench_serve_batch(config: BenchConfig) -> dict[str, Any]:
         store = ShardedScoreIndex.from_index(
             index, n_shards=config.shards
         )
-        return list(QueryEngine(store, jobs=config.jobs).execute(queries))
+        return list(QueryEngine(store).execute(queries))
 
     serial_stats, serial_results = time_callable(
         run_serial, warmup=config.warmup, repeats=config.repeats
@@ -856,7 +862,6 @@ def _bench_serve_batch(config: BenchConfig) -> dict[str, Any]:
         },
         "batched": {
             **batched_stats.as_dict(),
-            "jobs": config.jobs,
             "shards": config.shards,
             "queries_per_second": n_queries / batched_stats.best,
         },
@@ -879,21 +884,19 @@ def _bench_solver_fused(config: BenchConfig) -> dict[str, Any]:
     interleaved round by round (robust against background-load drift;
     the reported wall time is the best round).  Score vectors from the
     two runs must be bit-identical; ``identical_rankings`` is the AND
-    across every float64 leg.
+    across every leg.
 
     Legs: tuning grids of 16 and 64 settings on one operator (where
     stacking pays — the headline ``speedup_vs_serial`` is the 64-wide
     grid), a heterogeneous 5-method serving panel (narrow operator
     groups, which ``FUSE_MIN_COLUMNS`` routes to the scalar path — the
-    leg documents that the dispatch costs nothing), and a float32 leg
-    reporting rank agreement and relative error against float64.
+    leg documents that the dispatch costs nothing).
 
     Smoke mode drops the 64-wide grids and runs 3 rounds.
     """
     from repro.baselines import make_method
-    from repro.core.fused import FLOAT32_TOLERANCE, FusedSolver, solve_methods
+    from repro.core.fused import solve_methods
     from repro.eval.grids import attrank_grid
-    from repro.eval.metrics import spearman_rho
 
     network = generate_dataset("hep-th", size=config.size, seed=config.seed)
     rounds = max(3 if config.smoke else config.repeats, 1)
@@ -964,26 +967,6 @@ def _bench_solver_fused(config: BenchConfig) -> dict[str, Any]:
         legs["grid_pr_m64"] = run_leg([("PR", p) for p in pr_settings(64)])
     legs["panel5"] = run_leg(panel)
 
-    # float32 leg: accuracy, not wall time (the mode trades tolerance
-    # for memory traffic; docs/SOLVER.md tabulates the bound).
-    f64_scores = [
-        np.asarray(make_method(label, **params).scores(network))
-        for label, params in panel
-    ]
-    columns = [
-        make_method(label, **params).fused_column(network)
-        for label, params in panel
-    ]
-    f32_solved = FusedSolver(
-        columns, network.n_papers, dtype=np.float32
-    ).solve()
-    agreements, rel_errors = [], []
-    for (scores32, _info), scores64 in zip(f32_solved, f64_scores):
-        wide = scores32.astype(np.float64)
-        agreements.append(spearman_rho(wide, scores64))
-        scale = float(np.abs(scores64).max()) or 1.0
-        rel_errors.append(float(np.abs(wide - scores64).max()) / scale)
-
     grid_key = "grid_ar_m16" if config.smoke else "grid_ar_m64"
     return {
         "dataset": _dataset_info(network, "hep-th", config.size),
@@ -993,9 +976,4 @@ def _bench_solver_fused(config: BenchConfig) -> dict[str, Any]:
         "identical_rankings": all(
             leg["identical_rankings"] for leg in legs.values()
         ),
-        "float32": {
-            "tolerance_floor": FLOAT32_TOLERANCE,
-            "min_spearman_vs_float64": min(agreements),
-            "max_relative_error_vs_float64": max(rel_errors),
-        },
     }

@@ -225,15 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
             "publication-year ranges (default: hash)"
         ),
     )
-    index.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "threads for the fused solver's row-chunked SpMV "
-            "(default 1; scores are bit-identical for any value)"
-        ),
-    )
 
     update = commands.add_parser(
         "update",
@@ -249,26 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     update.add_argument(
-        "--cold",
-        action="store_true",
-        help="force cold re-solves (for comparing against warm starts)",
-    )
-    update.add_argument(
         "--missing-references",
         choices=["skip", "error"],
         default="skip",
         help=(
             "policy for citations whose cited id is unknown (default: "
             "skip); citing papers must always be papers of the delta"
-        ),
-    )
-    update.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "threads for the fused solver's row-chunked SpMV "
-            "(default 1; scores are bit-identical for any value)"
         ),
     )
 
@@ -289,15 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
             '{"type": "paper", "id": "..."}, '
             '{"type": "compare", "methods": ["AR", "CC"]}]; '
             "results print as JSON"
-        ),
-    )
-    query.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker threads for the per-shard query phase "
-            "(0 = all cores; default 1)"
         ),
     )
     query.add_argument(
@@ -493,12 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="token-bucket burst for --rate-limit (default 32)",
-    )
-    serve_http.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for the per-shard query phase",
     )
     serve_http.add_argument(
         "--workers",
@@ -1142,7 +1104,7 @@ def _command_popular(args: argparse.Namespace) -> int:
 
 def _command_index(args: argparse.Namespace) -> int:
     network = _load_source(args)
-    index = ScoreIndex(network, solver_jobs=args.jobs)
+    index = ScoreIndex(network)
     for label in args.methods:
         entry = index.add_method(label)
         note = f"{entry.iterations} iterations" if entry.iterations else "closed form"
@@ -1180,11 +1142,8 @@ def _command_update(args: argparse.Namespace) -> int:
         )
         return 2
     index = ScoreIndex.load(args.index)
-    index.solver_jobs = args.jobs
     updater = DeltaUpdater(
-        index,
-        missing_references=args.missing_references,
-        warm=not args.cold,
+        index, missing_references=args.missing_references
     )
     delta = NetworkDelta.from_json_file(args.delta)
     report = updater.apply(delta)
@@ -1216,16 +1175,16 @@ def _command_update(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_backend(path: str, jobs: int | None):
+def _serving_backend(path: str):
     """Open an index or store file (by its header's kind) for serving."""
     if read_kind(path) == "store":
         # A sharded store loads lazily and serves through the engine.
-        return QueryEngine(ShardedScoreIndex.load(path), jobs=jobs)
-    return RankingService(ScoreIndex.load(path), jobs=jobs)
+        return QueryEngine(ShardedScoreIndex.load(path))
+    return RankingService(ScoreIndex.load(path))
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    service = _serving_backend(args.index, args.jobs)
+    service = _serving_backend(args.index)
     if args.batch:
         queries = queries_from_file(args.batch)
         engine = (
@@ -1487,7 +1446,7 @@ def _command_serve_http(args: argparse.Namespace) -> int:
         )
     if not args.no_trace:
         enable_tracing(args.trace_capacity, sample=args.trace_sample)
-    backend = _serving_backend(args.index, args.jobs)
+    backend = _serving_backend(args.index)
     slos = None
     if args.slo:
         from repro.obs import parse_slo
@@ -1513,10 +1472,7 @@ def _command_serve_http(args: argparse.Namespace) -> int:
         from repro.gateway import MultiWorkerGateway
 
         gateway = MultiWorkerGateway(
-            backend,
-            workers=args.workers,
-            config=config,
-            jobs=args.jobs,
+            backend, workers=args.workers, config=config
         )
         gateway.start()
         print(
@@ -1815,7 +1771,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             verify=verify,
         )
     elif args.index:
-        backend = _serving_backend(args.index, jobs=1)
+        backend = _serving_backend(args.index)
         report = run_load_static(
             backend,
             backend.sharded.snapshot().labels,

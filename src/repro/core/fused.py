@@ -44,9 +44,9 @@ sharing starts to beat the scalar loop's leaner per-iteration traffic.
 
 Bit-identity contract
 ---------------------
-The float64 fused path is **bit-identical** to the per-method
+The fused path is **bit-identical** to the per-method
 :func:`~repro.core.power_iteration.power_iterate` loop, for any subset
-of methods, any drop order and any ``jobs`` value.  This is not a
+of methods and any drop order.  This is not a
 tolerance claim — the golden fixtures and hypothesis properties assert
 ``np.array_equal``.  It holds because every fused operation is
 elementwise equal to its scalar counterpart:
@@ -64,9 +64,6 @@ elementwise equal to its scalar counterpart:
 * adding ``-0.0`` leaves every value's bits alone (adding ``0.0``
   does not: it turns ``-0.0`` into ``0.0``), so columns without
   FutureRank's terms ride its broadcast adds;
-* row-chunked SpMV (the ``jobs > 1`` path) writes disjoint row slices
-  ``Y[lo:hi] = M[lo:hi] @ X`` whose values equal the unchunked product.
-
 * axis-1 reductions over the C-order transposed stack reduce each
   contiguous row with the same pairwise tree as that row's 1-D
   ``.sum()``.
@@ -78,21 +75,11 @@ pairwise per column), reducing an F-ordered gather like
 ``.T`` round-trips on one-column stacks (a ``(1, n)`` array is already
 contiguous, so those return *views* and in-place updates would alias).
 See docs/SOLVER.md for the full model.
-
-float32 mode
-------------
-``dtype=np.float32`` halves the memory traffic of the stack.  A float32
-iteration cannot reach the paper's 1e-12 tolerance (the type holds ~7
-decimal digits), so column tolerances are floored at
-:data:`FLOAT32_TOLERANCE`; the measured rank-agreement/error bound
-against the float64 path is asserted in the test suite and tabulated in
-docs/SOLVER.md.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
@@ -117,17 +104,12 @@ from repro.obs.registry import REGISTRY
 from repro.ranking import ConvergenceInfo
 
 __all__ = [
-    "FLOAT32_TOLERANCE",
     "FUSE_MIN_COLUMNS",
     "FusedColumn",
     "FusedSolver",
     "solve_methods",
     "stack_width",
 ]
-
-#: The loosest tolerance a float32 iterate can reliably reach; column
-#: tolerances are floored here when solving in float32.
-FLOAT32_TOLERANCE = 1e-6
 
 #: Working-set budget for one stacked iterate, in bytes.  Wide stacks
 #: are solved in column batches sized to this, so the ~4 live (n, k)
@@ -154,7 +136,7 @@ MIN_STACK_WIDTH = 16
 FUSE_MIN_COLUMNS = 8
 
 
-def stack_width(n: int, dtype: Any = np.float64) -> int:
+def stack_width(n: int) -> int:
     """Columns per stacked batch for vectors of ``n`` entries.
 
     One stacked buffer stays near :data:`STACK_BYTES_BUDGET`, and no
@@ -162,7 +144,7 @@ def stack_width(n: int, dtype: Any = np.float64) -> int:
     scheduling choice — each column's arithmetic is unchanged, so
     results are bit-identical at any width.
     """
-    column_bytes = int(n) * np.dtype(dtype).itemsize
+    column_bytes = int(n) * np.dtype(np.float64).itemsize
     return max(MIN_STACK_WIDTH, STACK_BYTES_BUDGET // max(column_bytes, 1))
 
 
@@ -449,63 +431,25 @@ class FusedSolver:
     columns:
         The column specs, one per method.
     n:
-        Vector length (every start/jump vector must have this length).
-    jobs:
-        Thread count for row-chunked SpMV.  ``1`` (default) multiplies
-        unchunked; higher values split each operator's rows into
-        ``jobs`` contiguous ranges computed concurrently.  The result
-        is bit-identical for any value.
-    dtype:
-        ``np.float64`` (default, bit-identical to the scalar loop) or
-        ``np.float32`` (opt-in, tolerances floored at
-        :data:`FLOAT32_TOLERANCE`).
-    emit_metrics:
-        Record the ``repro_fused_*`` instruments.  The degenerate
-        single-column delegation from
-        :func:`~repro.core.power_iteration.power_iterate` passes
-        ``False`` so per-method serving metrics stay meaningful.
+        Vector length (every start, jump and dangling vector must have
+        this length).
     """
 
-    def __init__(
-        self,
-        columns: Sequence[FusedColumn],
-        n: int,
-        *,
-        jobs: int = 1,
-        dtype: Any = np.float64,
-        emit_metrics: bool = True,
-    ) -> None:
+    def __init__(self, columns: Sequence[FusedColumn], n: int) -> None:
         if n <= 0:
             raise ConfigurationError(
                 f"vector length must be positive, got {n}"
             )
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self._dtype = np.dtype(dtype)
-        if self._dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ConfigurationError(
-                f"dtype must be float64 or float32, got {self._dtype}"
-            )
-        if self._dtype == np.dtype(np.float32):
-            for column in columns:
-                if column.step is not None:
-                    raise ConfigurationError(
-                        "float32 mode requires linear columns; column "
-                        f"{column.label!r} uses a bare step callable"
-                    )
         self._columns = list(columns)
         self._n = int(n)
-        self._jobs = int(jobs)
-        self._emit_metrics = emit_metrics
 
     # ------------------------------------------------------------------
     def _prepared_start(self, column: FusedColumn) -> np.ndarray:
         """The column's start vector, with power_iterate's semantics."""
         n = self._n
         if column.start is None:
-            vector = np.full(n, 1.0 / n, dtype=self._dtype)
-            return vector
-        vector = np.asarray(column.start, dtype=self._dtype).copy()
+            return np.full(n, 1.0 / n, dtype=np.float64)
+        vector = np.asarray(column.start, dtype=np.float64).copy()
         if vector.shape != (n,):
             raise ConfigurationError(
                 f"start vector has shape {vector.shape}, expected ({n},)"
@@ -515,27 +459,9 @@ class FusedSolver:
             vector /= total
         return vector
 
-    def _effective_tol(self, column: FusedColumn) -> float:
-        if self._dtype == np.dtype(np.float32):
-            return max(column.tol, FLOAT32_TOLERANCE)
-        return column.tol
-
     def _stack_width(self, k: int) -> int:
         """Columns per batch for ``k`` columns; see :func:`stack_width`."""
-        return max(1, min(k, stack_width(self._n, self._dtype)))
-
-    def _chunks(
-        self, matrix: sp.csr_matrix
-    ) -> list[tuple[int, int, sp.csr_matrix]]:
-        """Contiguous row ranges of ``matrix``, one per job."""
-        n = matrix.shape[0]
-        jobs = min(self._jobs, n)
-        bounds = np.linspace(0, n, jobs + 1).astype(int)
-        return [
-            (int(lo), int(hi), matrix[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        return max(1, min(k, stack_width(self._n)))
 
     def solve(self) -> list[tuple[FloatVector, ConvergenceInfo]]:
         """Run the stacked iteration; results align with the columns.
@@ -554,7 +480,6 @@ class FusedSolver:
         if not self._columns:
             return []
         n = self._n
-        dtype = self._dtype
         for column in self._columns:
             if column.matrix is not None and column.matrix.shape != (n, n):
                 raise ConfigurationError(
@@ -569,107 +494,65 @@ class FusedSolver:
                     f"column {column.label!r} incidence has shape "
                     f"{column.incidence.shape}, expected (*, {n})"
                 )
+            for name, vector in (
+                ("jump", column.jump if column.matrix is not None else None),
+                ("dangling mask", column.dangling),
+            ):
+                if vector is not None and np.shape(vector) != (n,):
+                    raise ConfigurationError(
+                        f"column {column.label!r} {name} has shape "
+                        f"{np.shape(vector)}, expected ({n},)"
+                    )
 
-        # Cast each distinct operator and incidence once per solve, and
-        # row-chunk the operators.
+        # Cast each distinct operator and incidence once per solve (the
+        # C kernels need float64 on both sides).
         prepared: dict[int, sp.csr_matrix] = {}
-        chunked: dict[int, list[tuple[int, int, sp.csr_matrix]]] = {}
         for column in self._columns:
             for matrix in (column.matrix, column.incidence):
                 if matrix is None or id(matrix) in prepared:
                     continue
                 prepared[id(matrix)] = (
-                    matrix if matrix.dtype == dtype else matrix.astype(dtype)
+                    matrix
+                    if matrix.dtype == np.float64
+                    else matrix.astype(np.float64)
                 )
-                if self._jobs > 1 and matrix is column.matrix:
-                    chunked[id(matrix)] = self._chunks(prepared[id(matrix)])
 
         results: list[tuple[FloatVector, ConvergenceInfo] | None] = [
             None
         ] * len(self._columns)
-        pool = (
-            ThreadPoolExecutor(max_workers=self._jobs)
-            if self._jobs > 1
-            else None
-        )
         active_counts: list[int] = []
         width = self._stack_width(len(self._columns))
-        try:
-            for lo in range(0, len(self._columns), width):
-                batch = self._columns[lo : lo + width]
-                states = [
-                    _ColumnState(index=lo + i, column=c)
-                    for i, c in enumerate(batch)
-                ]
-                # Each batch's stack is carried transposed: XT is
-                # (k, n) C-order, so a method's iterate is one
-                # *contiguous row* — all per-column reductions
-                # (residuals, normalisation totals, dangling mass)
-                # read rows of XT at full memory bandwidth instead of
-                # paying the cache-line-per-element cost of strided
-                # column access.  The (n, k) operand each SpMV needs
-                # is materialised per operator group inside the loop.
-                XT = np.empty((len(batch), n), dtype=dtype, order="C")
-                J = np.zeros((n, len(batch)), dtype=dtype, order="C")
-                alphas = np.zeros(len(batch), dtype=dtype)
-                for position, column in enumerate(batch):
-                    XT[position] = self._prepared_start(column)
-                    if column.matrix is not None:
-                        J[:, position] = np.asarray(column.jump, dtype=dtype)
-                        alphas[position] = column.alpha
-                self._iterate(
-                    states,
-                    XT,
-                    J,
-                    alphas,
-                    prepared,
-                    chunked,
-                    pool,
-                    results,
-                    active_counts,
-                )
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        if self._emit_metrics and len(self._columns) > 1:
+        for lo in range(0, len(self._columns), width):
+            batch = self._columns[lo : lo + width]
+            states = [
+                _ColumnState(index=lo + i, column=c)
+                for i, c in enumerate(batch)
+            ]
+            # Each batch's stack is carried transposed: XT is (k, n)
+            # C-order, so a method's iterate is one *contiguous row* —
+            # all per-column reductions (residuals, normalisation
+            # totals, dangling mass) read rows of XT at full memory
+            # bandwidth instead of paying the cache-line-per-element
+            # cost of strided column access.  The (n, k) operand each
+            # SpMV needs is materialised per operator group inside the
+            # loop.
+            XT = np.empty((len(batch), n), dtype=np.float64, order="C")
+            J = np.zeros((n, len(batch)), dtype=np.float64, order="C")
+            alphas = np.zeros(len(batch), dtype=np.float64)
+            for position, column in enumerate(batch):
+                XT[position] = self._prepared_start(column)
+                if column.matrix is not None:
+                    J[:, position] = column.jump
+                    alphas[position] = column.alpha
+            self._iterate(
+                states, XT, J, alphas, prepared, results, active_counts
+            )
+        if len(self._columns) > 1:
             for count in active_counts:
                 _FUSED_ACTIVE_COLUMNS.observe(count)
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _spmv(
-        self,
-        matrix_key: int,
-        prepared: dict[int, sp.csr_matrix],
-        chunked: dict[int, list[tuple[int, int, sp.csr_matrix]]],
-        pool: ThreadPoolExecutor | None,
-        block: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``matrix @ block`` — unchunked, or by disjoint row ranges.
-
-        With ``out`` (C-contiguous, same shape) the product lands in
-        the caller's buffer; bits match the allocating path exactly.
-        """
-        if pool is None:
-            matrix = prepared[matrix_key]
-            if out is not None:
-                return _product(matrix, block, out)
-            return matrix @ block
-        if out is None:
-            out = np.empty_like(block)
-
-        def run(lo: int, hi: int, part: sp.csr_matrix) -> None:
-            out[lo:hi] = part @ block
-
-        futures = [
-            pool.submit(run, lo, hi, part)
-            for lo, hi, part in chunked[matrix_key]
-        ]
-        for future in futures:
-            future.result()
-        return out
-
     def _plan(self, states: list[_ColumnState]) -> _IterationPlan:
         """Precompute the loop structure for the active column set."""
         groups: dict[int, list[int]] = {}
@@ -717,7 +600,7 @@ class FusedSolver:
                         -0.0 if s.column.uniform is None else s.column.uniform
                         for s in states
                     ],
-                    dtype=self._dtype,
+                    dtype=np.float64,
                 )
                 if any(s.column.uniform is not None for s in states)
                 else None
@@ -731,16 +614,14 @@ class FusedSolver:
                             states[p].column.beta if p in positions else 0.0
                             for p in range(len(states))
                         ],
-                        dtype=self._dtype,
+                        dtype=np.float64,
                     ),
                 )
                 for key, positions in incidences.items()
             ],
             normalizing=normalizing,
             normalizing_mask=normalizing_mask,
-            tols=[
-                self._effective_tol(state.column) for state in states
-            ],
+            tols=[state.column.tol for state in states],
             dangling_all=len(dangling) == len(states),
         )
 
@@ -768,8 +649,8 @@ class FusedSolver:
             incidence = prepared[key]
             if key not in buffers:
                 buffers[key] = (
-                    np.empty((incidence.shape[0], k), self._dtype),
-                    np.empty((self._n, k), self._dtype),
+                    np.empty((incidence.shape[0], k)),
+                    np.empty((self._n, k)),
                 )
             authors, papers = buffers[key]
             operand = stack
@@ -792,13 +673,10 @@ class FusedSolver:
         J: np.ndarray,
         alphas: np.ndarray,
         prepared: dict[int, sp.csr_matrix],
-        chunked: dict[int, list[tuple[int, int, sp.csr_matrix]]],
-        pool: ThreadPoolExecutor | None,
         results: list[tuple[FloatVector, ConvergenceInfo] | None],
         active_counts: list[int],
     ) -> None:
         n = self._n
-        dtype = self._dtype
         iteration = 0
         plan = self._plan(states)
         alphas_row = alphas[None, :]
@@ -818,8 +696,8 @@ class FusedSolver:
             k = len(states)
             active_counts.append(k)
             if y_buf is None:
-                y_buf = np.empty((n, k), dtype=dtype)
-                op_buf = np.empty((n, k), dtype=dtype)
+                y_buf = np.empty((n, k))
+                op_buf = np.empty((n, k))
 
             # --- one SpMV per distinct operator, amortised over its
             # columns; bare-step columns have no linear part to compute.
@@ -833,23 +711,14 @@ class FusedSolver:
                 if covers_all:
                     np.copyto(op_buf, XT.T)
                     stacked = True
-                    Y = self._spmv(
-                        matrix_key,
-                        prepared,
-                        chunked,
-                        pool,
-                        op_buf,
-                        out=y_buf,
-                    )
+                    Y = _product(prepared[matrix_key], op_buf, y_buf)
                     break
                 Y = y_buf
                 if len(positions) == 1:
                     block = XT[positions[0]][:, None]
                 else:
                     block = np.array(XT[positions].T, order="C")
-                Y[:, positions] = self._spmv(
-                    matrix_key, prepared, chunked, pool, block
-                )
+                Y[:, positions] = prepared[matrix_key] @ block
 
             # --- dangling corrections, applied to the SpMV result
             # before damping (mirrors StochasticOperator.apply).  Rows
@@ -857,7 +726,7 @@ class FusedSolver:
             # gather; when every column has a mask the scalar adds
             # collapse into one broadcast.
             if plan.dangling:
-                corrections = np.zeros(k, dtype=dtype)
+                corrections = np.zeros(k)
                 for mask, positions in plan.dangling_groups:
                     if len(positions) == 1:
                         corrections[positions[0]] = (
@@ -932,9 +801,7 @@ class FusedSolver:
             if plan.normalizing:
                 totals = UT.sum(axis=1)
                 divisors = np.where(
-                    plan.normalizing_mask & (totals > 0),
-                    totals,
-                    dtype.type(1.0),
+                    plan.normalizing_mask & (totals > 0), totals, 1.0
                 )
                 np.divide(UT, divisors[:, None], out=UT)
 
@@ -1019,11 +886,7 @@ class FusedSolver:
 
 
 def solve_methods(
-    network: Any,
-    methods: Sequence[Any],
-    *,
-    jobs: int = 1,
-    dtype: Any = np.float64,
+    network: Any, methods: Sequence[Any]
 ) -> list[tuple[FloatVector, ConvergenceInfo | None]]:
     """Score many :class:`~repro.ranking.RankingMethod`s in one pass.
 
@@ -1036,8 +899,8 @@ def solve_methods(
     ``scores()`` call would.
 
     Returns ``(scores, info)`` per method, in input order; ``info`` is
-    ``None`` for closed forms.  With ``dtype=np.float64`` (default) the
-    vectors are bit-identical to per-method solves.
+    ``None`` for closed forms.  The vectors are bit-identical to
+    per-method solves.
     """
     import time as _time
 
@@ -1053,26 +916,21 @@ def solve_methods(
             positions.append(position)
     # Stacking only pays once enough columns share an operator (see
     # FUSE_MIN_COLUMNS); narrower groups fall through to the scalar
-    # loop below with bit-identical results.  Explicit float32 or
-    # threaded requests always stack — the scalar fallback cannot
-    # honour them.
-    if columns and jobs == 1 and np.dtype(dtype) == np.float64:
-        group_sizes: dict[int, int] = {}
-        for column in columns:
-            key = id(column.matrix)
-            group_sizes[key] = group_sizes.get(key, 0) + 1
-        kept = [
-            (column, position)
-            for column, position in zip(columns, positions)
-            if group_sizes[id(column.matrix)] >= FUSE_MIN_COLUMNS
-        ]
-        columns = [column for column, _ in kept]
-        positions = [position for _, position in kept]
+    # loop below with bit-identical results.
+    group_sizes: dict[int, int] = {}
+    for column in columns:
+        key = id(column.matrix)
+        group_sizes[key] = group_sizes.get(key, 0) + 1
+    kept = [
+        (column, position)
+        for column, position in zip(columns, positions)
+        if group_sizes[id(column.matrix)] >= FUSE_MIN_COLUMNS
+    ]
+    columns = [column for column, _ in kept]
+    positions = [position for _, position in kept]
     if columns:
         started = _time.perf_counter()
-        solver = FusedSolver(
-            columns, network.n_papers, jobs=jobs, dtype=dtype
-        )
+        solver = FusedSolver(columns, network.n_papers)
         try:
             solved = solver.solve()
         except ConvergenceError:

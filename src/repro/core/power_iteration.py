@@ -17,7 +17,7 @@ in the suite exercises the same code the stacked multi-method path runs.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "power_iterate",
     "uniform_vector",
     "grow_start_vector",
-    "grow_start_stack",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -89,38 +88,6 @@ def grow_start_vector(previous: FloatVector, n: int) -> FloatVector:
     return grown
 
 
-def grow_start_stack(
-    previous: Sequence[FloatVector | None], n: int
-) -> np.ndarray:
-    """Stacked form of :func:`grow_start_vector` for fused solves.
-
-    Builds the C-order ``(n, m)`` warm-start matrix whose column ``j``
-    is ``grow_start_vector(previous[j], n)`` — or the uniform vector
-    when ``previous[j]`` is ``None`` (a method being solved cold inside
-    an otherwise warm fused pass).  The same rules apply per column:
-    a previous solution *longer* than ``n`` (the network shrank) is a
-    :class:`~repro.errors.ConfigurationError`, old coordinates are kept
-    verbatim, and new papers get the column's previous mean entry.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``previous`` is empty, or any column fails the
-        :func:`grow_start_vector` validation.
-    """
-    if not previous:
-        raise ConfigurationError(
-            "grow_start_stack needs at least one previous solution"
-        )
-    stack = np.empty((n, len(previous)), dtype=np.float64, order="C")
-    for position, vector in enumerate(previous):
-        if vector is None:
-            stack[:, position] = uniform_vector(n)
-        else:
-            stack[:, position] = grow_start_vector(vector, n)
-    return stack
-
-
 def power_iterate(
     step: Callable[[FloatVector], FloatVector],
     n: int,
@@ -175,6 +142,6 @@ def power_iterate(
         max_iterations=max_iterations,
         raise_on_failure=raise_on_failure,
     )
-    solver = FusedSolver([column], n, emit_metrics=False)
+    solver = FusedSolver([column], n)
     ((vector, info),) = solver.solve()
     return vector, info

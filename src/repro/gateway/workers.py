@@ -105,12 +105,11 @@ async def _worker_serve(
     config: GatewayConfig,
     index: int,
     conn: Any,
-    jobs: int,
     supervisor_pid: int,
     stats_addr: tuple[str, int] | None,
 ) -> None:
     store = SharedStoreReader(session, lock)
-    engine = QueryEngine(store, jobs=jobs)
+    engine = QueryEngine(store)
     server = GatewayServer(engine, config=config)
     # Fleet wiring before the first request: public deep-observability
     # answers proxy to the supervisor's merged view, and every local
@@ -170,7 +169,6 @@ def _worker_main(
     config: GatewayConfig,
     index: int,
     conn: Any,
-    jobs: int,
     arm_chaos: bool,
     supervisor_pid: int,
     stats_addr: tuple[str, int] | None,
@@ -191,7 +189,6 @@ def _worker_main(
                 config,
                 index,
                 conn,
-                jobs,
                 supervisor_pid,
                 stats_addr,
             )
@@ -327,9 +324,6 @@ class MultiWorkerGateway:
         must be ``backend``: the supervisor replays its remaining
         events in micro-batches and publishes each version as a new
         shared generation — the one-writer rule of the protocol.
-    jobs:
-        Engine jobs per worker (keep 1: parallelism comes from the
-        fleet, not from threads inside each worker).
 
     Lifecycle: :meth:`start` forks the fleet; then either
     :meth:`serve_forever` (CLI foreground: installs SIGTERM/SIGINT
@@ -346,7 +340,6 @@ class MultiWorkerGateway:
         workers: int,
         config: GatewayConfig | None = None,
         ingestor: StreamIngestor | None = None,
-        jobs: int = 1,
         max_restarts: int = 16,
     ) -> None:
         if workers < 1:
@@ -358,7 +351,6 @@ class MultiWorkerGateway:
             )
         self.config = config or GatewayConfig(port=0)
         self.n_workers = int(workers)
-        self.jobs = int(jobs)
         self.max_restarts = int(max_restarts)
         self._backend = backend
         self._service: RankingService | None = None
@@ -512,7 +504,6 @@ class MultiWorkerGateway:
                 self._worker_config,
                 slot.index,
                 child_conn,
-                self.jobs,
                 arm_chaos,
                 os.getpid(),
                 self.stats_addr,

@@ -5,19 +5,19 @@ receives floods of heterogeneous requests: front-page top-k lists,
 year-filtered pages, method comparisons, per-paper score lookups.
 :class:`QueryEngine` accepts *batches* of such queries
 (:class:`TopKQuery` / :class:`PaperQuery` / :class:`CompareQuery`),
-plans the work they share, executes it per shard — concurrently across
-shards when ``jobs > 1`` — and k-way merges per-shard candidates into
-global results (a vectorised merge: each shard contributes its best
-``offset + k`` rows, one ``lexsort`` on the ranking comparator
-re-ranks the pooled candidates).
+plans the work they share, executes it shard by shard in the calling
+thread, and k-way merges per-shard candidates into global results (a
+vectorised merge: each shard contributes its best ``offset + k`` rows,
+one ``lexsort`` on the ranking comparator re-ranks the pooled
+candidates).
 
 The planning step is where batching pays: every distinct
 ``(method, year-span)`` ranking needed anywhere in the batch is
 computed **once per shard** at the deepest requested depth, no matter
 how many pages, comparisons, or lookups ask for it.  The merge then
 assembles each query's result in request order, so results are
-deterministic under any worker scheduling and *bit-identical* to
-issuing the same queries one at a time against an unsharded
+deterministic and *bit-identical* to issuing the same queries one at a
+time against an unsharded
 :class:`~repro.serve.RankingService` — the acceptance property the
 shard-count {1, 2, 7} tests pin down.
 
@@ -27,11 +27,9 @@ shard-count {1, 2, 7} tests pin down.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence, Union
 
@@ -214,13 +212,6 @@ class QueryEngine:
     ----------
     sharded:
         The shard store to serve from (attached or loaded from disk).
-    jobs:
-        Worker threads for the per-shard phase.  ``1`` (default) runs
-        shards serially in the calling thread; ``0``/``None`` uses all
-        cores (:func:`repro.parallel.resolve_jobs` semantics).  Threads
-        — not processes — because the per-shard work is NumPy sorting
-        and searching, which releases the GIL, and shards live in
-        shared memory.
 
     Examples
     --------
@@ -233,20 +224,8 @@ class QueryEngine:
     ('A', 'C')
     """
 
-    def __init__(
-        self,
-        sharded: ShardedScoreIndex,
-        *,
-        jobs: int | None = 1,
-    ) -> None:
-        # Deferred import: the experiment engine sits above the eval
-        # layer, and pulling it in at module scope would drag the whole
-        # evaluation stack into every `import repro` (the root package
-        # keeps repro.parallel deliberately lazy).
-        from repro.parallel.engine import resolve_jobs
-
+    def __init__(self, sharded: ShardedScoreIndex) -> None:
         self._sharded = sharded
-        self.jobs = resolve_jobs(jobs)
 
     @property
     def sharded(self) -> ShardedScoreIndex:
@@ -259,10 +238,7 @@ class QueryEngine:
         return self._sharded.version
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"QueryEngine(n_shards={self._sharded.n_shards}, "
-            f"jobs={self.jobs})"
-        )
+        return f"QueryEngine(n_shards={self._sharded.n_shards})"
 
     # ------------------------------------------------------------------
     # The batch path
@@ -370,9 +346,7 @@ class QueryEngine:
         """Compute every planned need on every shard.
 
         Returns ``shard_id -> need -> (total_matching, candidate local
-        positions)``.  Shards execute concurrently when both the engine
-        and the store have parallelism to exploit; results are keyed,
-        never ordered, so scheduling cannot influence the merge.
+        positions)``, one shard after another in the calling thread.
 
         Year-partitioned stores additionally *prune*: a need whose span
         cannot intersect a shard's time bounds is answered ``(0, [])``
@@ -380,8 +354,8 @@ class QueryEngine:
         survive is never even loaded from disk.
         """
         empty = np.zeros(0, dtype=np.int64)
-
-        def run_shard(shard_id: int) -> dict[_RankingNeed, tuple[int, Any]]:
+        produced: dict[int, dict[_RankingNeed, tuple[int, Any]]] = {}
+        for shard_id in range(snap.n_shards):
             started = time.perf_counter()
             with trace_span("engine.shard", shard=shard_id) as sp:
                 bounds = snap.shard_time_bounds(shard_id)
@@ -410,24 +384,8 @@ class QueryEngine:
             _SHARD_SECONDS.observe(
                 time.perf_counter() - started, shard=str(shard_id)
             )
-            return results
-
-        shard_ids = range(snap.n_shards)
-        if self.jobs == 1 or snap.n_shards == 1:
-            return {sid: run_shard(sid) for sid in shard_ids}
-        workers = min(self.jobs, snap.n_shards)
-        # Pool threads do not inherit the caller's context, and one
-        # Context object cannot be entered concurrently — so every
-        # shard task gets its own copy, made here in the caller's
-        # thread, which keeps the per-shard spans (and the request id
-        # on any log line below) attached to the calling request.
-        contexts = [contextvars.copy_context() for _ in shard_ids]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            produced = pool.map(
-                lambda pair: pair[0].run(run_shard, pair[1]),
-                zip(contexts, shard_ids),
-            )
-            return dict(zip(shard_ids, produced))
+            produced[shard_id] = results
+        return produced
 
     # -- merge phase ----------------------------------------------------
     def _merge_query(

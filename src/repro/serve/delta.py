@@ -234,9 +234,6 @@ class DeltaUpdater:
         Policy for citations whose cited id is in neither the snapshot
         nor the delta: ``"skip"`` (default) drops them, ``"error"``
         raises — mirroring :class:`~repro.graph.NetworkBuilder`.
-    warm:
-        Warm-start re-solves from previous solutions (default).  Cold
-        mode exists for benchmarking the savings, not for serving.
     sharded:
         An attached :class:`~repro.serve.ShardedScoreIndex` over the
         same index.  When given, every applied delta is routed through
@@ -249,12 +246,10 @@ class DeltaUpdater:
         index: ScoreIndex,
         *,
         missing_references: MissingRefPolicy = "skip",
-        warm: bool = True,
         sharded: ShardedScoreIndex | None = None,
     ) -> None:
         self._index = index
         self._policy: MissingRefPolicy = missing_references
-        self._warm = bool(warm)
         self._sharded = sharded
 
     @property
@@ -298,8 +293,8 @@ class DeltaUpdater:
         ) as sp:
             with span("delta.extend"):
                 extended = self.extend_network(delta)
-            with span("delta.refresh", warm=self._warm):
-                entries = self._index.refresh(extended, warm=self._warm)
+            with span("delta.refresh"):
+                entries = self._index.refresh(extended)
             touched: tuple[int, ...] = ()
             if self._sharded is not None:
                 with span("delta.sync"):

@@ -102,10 +102,6 @@ class ScoreIndex:
     version:
         Starting version number (0 for a fresh index; :meth:`load`
         restores the persisted value).
-    solver_jobs:
-        Thread count passed to the fused solver's row-chunked SpMV
-        (``repro index --jobs`` / ``repro update --jobs``).  Scores are
-        bit-identical for any value.
 
     Examples
     --------
@@ -119,24 +115,13 @@ class ScoreIndex:
     """
 
     def __init__(
-        self,
-        network: CitationNetwork,
-        *,
-        version: int = 0,
-        solver_jobs: int = 1,
+        self, network: CitationNetwork, *, version: int = 0
     ) -> None:
         if network.n_papers == 0:
             raise ConfigurationError("cannot index an empty network")
-        if solver_jobs < 1:
-            raise ConfigurationError(
-                f"solver_jobs must be >= 1, got {solver_jobs}"
-            )
         self._network = network
         self._version = int(version)
         self._entries: dict[str, MethodEntry] = {}
-        #: Thread count for the fused solver's row-chunked SpMV; results
-        #: are bit-identical for any value (see repro.core.fused).
-        self.solver_jobs = int(solver_jobs)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -225,8 +210,11 @@ class ScoreIndex:
             ``None`` re-solves on the unchanged snapshot.
         warm:
             Seed each method that supports it from its previous
-            solution, grown to the new size.  ``False`` forces cold
-            solves (the benchmark's comparison baseline).
+            solution, grown to the new size (what
+            :class:`~repro.serve.DeltaUpdater` does).  ``False`` solves
+            every method from its canonical start, so the scores equal
+            a fresh build's (:meth:`RankingService.refresh
+            <repro.serve.RankingService.refresh>`).
 
         Notes
         -----
@@ -291,9 +279,7 @@ class ScoreIndex:
         with span(
             "solver.solve_fused", methods=",".join(keys)
         ) as sp:
-            solved = solve_methods(
-                network, methods, jobs=self.solver_jobs
-            )
+            solved = solve_methods(network, methods)
             if sp is not None:
                 sp.set(papers=network.n_papers)
         elapsed = time.perf_counter() - started

@@ -80,9 +80,6 @@ class RankingService:
         Capacity of the LRU result cache.
     missing_references:
         Reference-resolution policy for incoming deltas.
-    warm:
-        Warm-start re-solves on update (default; cold mode exists for
-        benchmarking).
     shards:
         Partition count of the underlying shard store.  ``1`` (the
         default) serves exactly like the historical unsharded service;
@@ -91,9 +88,6 @@ class RankingService:
     partitioner:
         ``"hash"`` (default) or ``"year"`` — see
         :class:`~repro.serve.ShardedScoreIndex`.
-    jobs:
-        Worker threads for the per-shard phase of each query
-        (``1`` = serial, ``0`` = all cores).
 
     Examples
     --------
@@ -112,20 +106,17 @@ class RankingService:
         *,
         cache_size: int = 128,
         missing_references: MissingRefPolicy = "skip",
-        warm: bool = True,
         shards: int = 1,
         partitioner: str = "hash",
-        jobs: int | None = 1,
     ) -> None:
         self._index = index
         self._sharded = ShardedScoreIndex.from_index(
             index, n_shards=shards, partitioner=partitioner
         )
-        self._engine = QueryEngine(self._sharded, jobs=jobs)
+        self._engine = QueryEngine(self._sharded)
         self._updater = DeltaUpdater(
             index,
             missing_references=missing_references,
-            warm=warm,
             sharded=self._sharded,
         )
         self._cache = LRUCache(maxsize=cache_size)

@@ -184,7 +184,7 @@ class StreamIngestor:
         Optional time watermark: a batch also closes at the first
         group boundary whose event time is at least this far past the
         batch's first event.  ``None`` (default) disables the policy.
-    shards, partitioner, jobs, cache_size:
+    shards, partitioner, cache_size:
         Serving-state configuration, passed to the
         :class:`~repro.serve.RankingService` built at bootstrap.
     missing_references:
@@ -220,7 +220,6 @@ class StreamIngestor:
         watermark_years: float | None = None,
         shards: int = 1,
         partitioner: str = "hash",
-        jobs: int | None = 1,
         cache_size: int = 128,
         missing_references: MissingRefPolicy = "skip",
         method_params: Mapping[str, Mapping[str, Any]] | None = None,
@@ -259,7 +258,6 @@ class StreamIngestor:
         )
         self._shards = int(shards)
         self._partitioner = partitioner
-        self._jobs = jobs
         self._cache_size = int(cache_size)
         self._policy: MissingRefPolicy = missing_references
         self._offset = 0
@@ -451,7 +449,6 @@ class StreamIngestor:
             missing_references=self._policy,
             shards=self._shards,
             partitioner=self._partitioner,
-            jobs=self._jobs,
         )
         # Published together, once both exist.
         self._index, self._service = index, service
@@ -568,7 +565,6 @@ class StreamIngestor:
         directory: str,
         log: EventLog,
         *,
-        jobs: int | None = 1,
         cache_size: int = 128,
     ) -> "StreamIngestor":
         """Rebuild an ingestor from a checkpoint and continue ``log``.
@@ -591,7 +587,6 @@ class StreamIngestor:
             watermark_years=state.watermark_years,
             shards=state.shards,
             partitioner=state.partitioner,
-            jobs=jobs,
             cache_size=cache_size,
             missing_references=state.missing_references,
         )
@@ -604,7 +599,6 @@ class StreamIngestor:
             missing_references=state.missing_references,
             shards=state.shards,
             partitioner=state.partitioner,
-            jobs=jobs,
         )
         return ingestor
 

@@ -547,7 +547,7 @@ class TestShardedServe:
         from_file = _ranked_papers(capsys.readouterr().out)
         assert main(
             ["query", "--index", store_file, "--methods", "PR",
-             "--top", "7", "--jobs", "2"]
+             "--top", "7"]
         ) == 0
         from_shards = _ranked_papers(capsys.readouterr().out)
         assert from_shards == from_file

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.core.power_iteration import (
     DEFAULT_TOLERANCE,
-    grow_start_stack,
     grow_start_vector,
     power_iterate,
     uniform_vector,
@@ -172,45 +171,3 @@ class TestGrowStartVector:
             grow_start_vector(np.ones((2, 2)), 5)
         with pytest.raises(ConfigurationError, match="positive"):
             grow_start_vector(np.ones(2), 0)
-
-
-class TestGrowStartStack:
-    def test_columns_match_grow_start_vector(self):
-        a = np.array([0.5, 0.3, 0.2])
-        b = np.array([2.0, 6.0, 4.0])
-        stack = grow_start_stack([a, b], 5)
-        assert stack.shape == (5, 2)
-        assert stack.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(stack[:, 0], grow_start_vector(a, 5))
-        np.testing.assert_array_equal(stack[:, 1], grow_start_vector(b, 5))
-
-    def test_none_column_gets_uniform_cold_start(self):
-        stack = grow_start_stack([None, np.array([1.0, 1.0])], 4)
-        np.testing.assert_array_equal(stack[:, 0], uniform_vector(4))
-        np.testing.assert_array_equal(
-            stack[:, 1], grow_start_vector(np.array([1.0, 1.0]), 4)
-        )
-
-    def test_single_column_degenerates_to_vector_form(self):
-        previous = np.array([0.25, 0.75])
-        stack = grow_start_stack([previous], 3)
-        assert stack.shape == (3, 1)
-        np.testing.assert_array_equal(
-            stack[:, 0], grow_start_vector(previous, 3)
-        )
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            grow_start_stack([], 3)
-
-    def test_shrinking_network_rejected_per_column(self):
-        # One bad column fails the whole stack — a silent truncation
-        # would hand the solver a start for the wrong network.
-        good = np.array([0.5, 0.5])
-        bad = np.ones(4) / 4
-        with pytest.raises(ConfigurationError, match="exceeds"):
-            grow_start_stack([good, bad], 3)
-
-    def test_column_validation_applies(self):
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            grow_start_stack([np.array([0.5, -0.5])], 3)

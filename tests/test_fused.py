@@ -1,10 +1,10 @@
-"""The fused solver's bit-identity contract, masks, batching, float32.
+"""The fused solver's bit-identity contract, masks and batching.
 
 The headline property — asserted with ``np.array_equal``, never a
 tolerance — is that stacking any subset of methods into one
 :class:`~repro.core.fused.FusedSolver` pass returns exactly the bits
 the per-method scalar solves produce, for any drop order of the
-convergence masks and any ``jobs`` value.  docs/SOLVER.md derives why.
+convergence masks.  docs/SOLVER.md derives why.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.fused as fused_module
 from repro.baselines import make_method
 from repro.core.fused import (
-    FLOAT32_TOLERANCE,
     FUSE_MIN_COLUMNS,
     FusedColumn,
     FusedSolver,
@@ -30,7 +30,6 @@ from repro.core.fused import (
 from repro.core.power_iteration import power_iterate
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.eval.grids import grid_for
-from repro.eval.metrics import spearman_rho
 from repro.eval.split import split_by_ratio
 from repro.graph.citation_network import CitationNetwork
 from repro.synth.profiles import generate_dataset
@@ -68,10 +67,9 @@ def _columns(net, positions):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_full_stack_matches_scalar_solves(self, net, reference, jobs):
+    def test_full_stack_matches_scalar_solves(self, net, reference):
         solver = FusedSolver(
-            _columns(net, range(len(FUSABLE))), net.n_papers, jobs=jobs
+            _columns(net, range(len(FUSABLE))), net.n_papers
         )
         for position, (scores, info) in enumerate(solver.solve()):
             want_scores, want_info = reference[position]
@@ -247,32 +245,6 @@ class TestSolveMethodsDispatch:
             )
 
 
-class TestFloat32:
-    def test_accuracy_bound_vs_float64(self, net, reference):
-        columns = _columns(net, range(len(FUSABLE)))
-        solved = FusedSolver(
-            columns, net.n_papers, dtype=np.float32
-        ).solve()
-        for position, (scores, info) in enumerate(solved):
-            assert scores.dtype == np.float32
-            assert info.converged
-            want = reference[position][0]
-            wide = scores.astype(np.float64)
-            assert spearman_rho(wide, want) > 0.999
-            scale = float(np.abs(want).max())
-            assert float(np.abs(wide - want).max()) / scale < 1e-3
-
-    def test_tolerance_floored(self, net):
-        column = _columns(net, [1])[0]  # tol=1e-12, unreachable in f32
-        solver = FusedSolver([column], net.n_papers, dtype=np.float32)
-        assert solver._effective_tol(column) == FLOAT32_TOLERANCE
-
-    def test_rejects_bare_step_columns(self):
-        column = FusedColumn(label="step", step=lambda x: x)
-        with pytest.raises(ConfigurationError, match="float32"):
-            FusedSolver([column], 4, dtype=np.float32)
-
-
 class TestFusedColumnValidation:
     def test_needs_exactly_one_of_matrix_step(self, net):
         with pytest.raises(ConfigurationError, match="exactly one"):
@@ -289,9 +261,35 @@ class TestFusedColumnValidation:
         with pytest.raises(ConfigurationError, match="max_iterations"):
             FusedColumn(label="m", step=lambda x: x, max_iterations=0)
 
+    def test_jump_of_the_wrong_length_is_refused(self):
+        column = FusedColumn(
+            label="long",
+            matrix=sp.identity(4, format="csr"),
+            alpha=0.5,
+            jump=np.full(5, 0.1),
+        )
+        with pytest.raises(
+            ConfigurationError, match=r"'long' jump has shape \(5,\)"
+        ):
+            FusedSolver([column], 4).solve()
+
+    def test_dangling_mask_of_the_wrong_length_is_refused(self):
+        column = FusedColumn(
+            label="short",
+            matrix=sp.identity(4, format="csr"),
+            alpha=0.5,
+            jump=np.full(4, 0.125),
+            dangling=np.array([True, False, True]),
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'short' dangling mask has shape \(3,\)",
+        ):
+            FusedSolver([column], 4).solve()
+
 
 # ---------------------------------------------------------------------------
-# Hypothesis: subsets, drop orders, jobs — always the scalar bits.
+# Hypothesis: subsets and drop orders — always the scalar bits.
 # ---------------------------------------------------------------------------
 
 
@@ -300,10 +298,9 @@ class TestFusedColumnValidation:
     subset=st.sets(
         st.integers(0, len(FUSABLE) - 1), min_size=1, max_size=5
     ),
-    jobs=st.sampled_from([1, 2, 4]),
     data=st.data(),
 )
-def test_any_subset_any_drop_order_any_jobs(subset, jobs, data):
+def test_any_subset_any_drop_order(subset, data):
     """Random subsets with randomly loosened tolerances (which shuffle
     the order columns drop out of the stack) stay bit-identical to the
     scalar solves with the same tolerances."""
@@ -317,7 +314,7 @@ def test_any_subset_any_drop_order_any_jobs(subset, jobs, data):
             label=f"tol[{FUSABLE[i][0]}]",
         )
         columns.append(dataclasses.replace(c, tol=tol))
-    fused = FusedSolver(columns, net.n_papers, jobs=jobs).solve()
+    fused = FusedSolver(columns, net.n_papers).solve()
     for column, (scores, info) in zip(columns, fused):
         solo_scores, solo_info = FusedSolver(
             [column], net.n_papers
@@ -389,9 +386,9 @@ def _assert_scalar_bits(network, specs, solved):
         assert info.residual_history == solo.last_convergence.residual_history
 
 
-def _solve(network, specs, **options):
+def _solve(network, specs):
     methods = [make_method(label, **params) for label, params in specs]
-    return solve_methods(network, methods, **options)
+    return solve_methods(network, methods)
 
 
 class TestStackedFutureRank:
@@ -399,9 +396,8 @@ class TestStackedFutureRank:
         "authors",
         ["all", "some papers without", "every list empty"],
     )
-    @pytest.mark.parametrize("jobs", [1, 2])
     def test_grid_matches_scalar_solves(
-        self, authored, stack_widths, authors, jobs
+        self, authored, stack_widths, authors
     ):
         network = authored
         if authors == "some papers without":
@@ -420,7 +416,7 @@ class TestStackedFutureRank:
         betas = {params["beta"] for params in FR_SETTINGS}
         assert 0.0 in betas and len(betas) > 1
         specs = [("FR", params) for params in FR_SETTINGS]
-        solved = _solve(network, specs, jobs=jobs)
+        solved = _solve(network, specs)
         # One solver, batched at stack_width columns; settings 39 and
         # 40 (rho -0.82 and -0.62) share a batch.
         assert stack_widths == [len(FR_SETTINGS)]
@@ -469,17 +465,6 @@ class TestStackedFutureRank:
         scores, info = stacked[-1]
         assert scores.tobytes() == solo.tobytes()
         assert info.residual_history == solo_info.residual_history
-
-    def test_float32_within_documented_bounds(self, authored):
-        specs = [("FR", params) for params in FR_SETTINGS]
-        solved = _solve(authored, specs, dtype=np.float32)
-        for (label, params), (scores, _info) in zip(specs, solved):
-            assert scores.dtype == np.float32
-            want = np.asarray(make_method(label, **params).scores(authored))
-            wide = scores.astype(np.float64)
-            assert spearman_rho(wide, want) > 0.999
-            scale = float(np.abs(want).max())
-            assert float(np.abs(wide - want).max()) / scale < 1e-3
 
     def test_product_refuses_mismatched_stacks(self, authored):
         """The sparse kernels trust their sizes, so a stack of the

@@ -8,8 +8,8 @@ then assert the structural invariants of the paper:
   premise),
 * attention / recency / AttRank vectors are probability vectors,
 * AttRank's fixed point is independent of the starting vector,
-* AttRank and PageRank match a dense closed-form solve built from the
-  paper's definition of ``S``, scalar and stacked,
+* AttRank, PageRank, CiteRank, ECM and Katz match a dense closed-form
+  solve built by hand from the citation lists, scalar and stacked,
 * metric ranges and identities (Spearman symmetry, nDCG bounds),
 * split ground truth is consistent under every ratio,
 * stream-replay equivalence: a finalized micro-batched replay of any
@@ -28,6 +28,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attention import attention_vector
+from repro.baselines.centrality import KatzCentrality
+from repro.baselines.citerank import CiteRank
+from repro.baselines.ecm import EffectiveContagion
 from repro.baselines.pagerank import PageRank
 from repro.core.attrank import AttRank, attrank_matrix
 from repro.core.fused import FUSE_MIN_COLUMNS, solve_methods
@@ -335,6 +338,117 @@ def test_fused_stack_matches_closed_form(network, settings_):
             attrank_closed_form(network, dense_s, method),
             rtol=0, atol=1e-9,
         )
+
+
+def citerank_closed_form(network, alpha: float, tau_dir: float) -> np.ndarray:
+    """CiteRank's traffic ``x = rho + alpha T x``: ``(I - alpha T) x = rho``.
+
+    ``T`` is ``paper_s`` with its dangling columns left at zero: a
+    reader who reaches a paper without references stops, so CiteRank
+    recycles no dangling mass.  ``rho`` decays with paper age at time
+    ``tN``, the latest publication.
+    """
+    transfer = paper_s(network)
+    cites_something = np.zeros(network.n_papers, dtype=bool)
+    cites_something[network.citing] = True
+    transfer[:, ~cites_something] = 0.0
+    times = np.asarray(network.publication_times, dtype=np.float64)
+    rho = np.exp(-(times.max() - times) / tau_dir)
+    rho /= rho.sum()
+    return np.linalg.solve(np.eye(network.n_papers) - alpha * transfer, rho)
+
+
+def citation_chains(network, weight) -> np.ndarray:
+    """Dense ``W[i, j] = weight(j)`` for every citation of ``i`` by ``j``."""
+    dense = np.zeros((network.n_papers, network.n_papers))
+    for source, target in zip(network.citing, network.cited):
+        dense[target, source] += weight(source)
+    return dense
+
+
+def katz_closed_form(dense: np.ndarray, alpha: float) -> np.ndarray:
+    """The chain series ``x = W 1 + alpha W x``: ``(I - alpha W) x = W 1``."""
+    return np.linalg.solve(
+        np.eye(len(dense)) - alpha * dense, dense.sum(axis=1)
+    )
+
+
+def ecm_closed_form(network, alpha: float, gamma: float) -> np.ndarray:
+    """ECM is Katz over the retained matrix ``R``: a citation made by
+    paper ``j`` keeps ``gamma ** (tN - t_j)`` of its weight."""
+    times = np.asarray(network.publication_times, dtype=np.float64)
+    latest = times.max()
+    retained = citation_chains(
+        network, lambda source: gamma ** (latest - times[source])
+    )
+    return katz_closed_form(retained, alpha)
+
+
+def assert_near(scores, reference) -> None:
+    """Within 1e-9, relative to the largest entry where it exceeds 1
+    (CiteRank, ECM and Katz scores are not probability vectors)."""
+    scale = max(1.0, float(np.abs(reference).max()))
+    np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-9 * scale)
+
+
+tenths = st.integers(1, 9).map(lambda step: step / 10)
+citerank_settings = st.tuples(tenths, st.sampled_from((0.5, 2.0, 6.0, 10.0)))
+
+
+@given(
+    tied_dags(),
+    citerank_settings,
+    tenths,
+    st.integers(1, 10).map(lambda step: step / 10),
+    tenths,
+)
+@settings(max_examples=40, deadline=None)
+def test_citerank_ecm_katz_match_closed_form(
+    network, citerank, ecm_alpha, ecm_gamma, katz_alpha
+):
+    """CiteRank's, ECM's and Katz's ``scores()`` reach the dense solve."""
+    alpha, tau_dir = citerank
+    assert_near(
+        CiteRank(alpha=alpha, tau_dir=tau_dir).scores(network),
+        citerank_closed_form(network, alpha, tau_dir),
+    )
+    assert_near(
+        EffectiveContagion(alpha=ecm_alpha, gamma=ecm_gamma).scores(network),
+        ecm_closed_form(network, ecm_alpha, ecm_gamma),
+    )
+    assert_near(
+        KatzCentrality(alpha=katz_alpha).scores(network),
+        katz_closed_form(citation_chains(network, lambda _: 1.0), katz_alpha),
+    )
+
+
+@given(
+    tied_dags(),
+    st.lists(citerank_settings, min_size=FUSE_MIN_COLUMNS, max_size=12),
+    st.lists(tenths, min_size=FUSE_MIN_COLUMNS, max_size=12),
+    st.integers(1, 10).map(lambda step: step / 10),
+)
+@settings(max_examples=20, deadline=None)
+def test_fused_citerank_and_ecm_match_closed_form(
+    network, citerank, ecm_alphas, gamma
+):
+    """One ``solve_methods`` pass stacks CiteRank's columns on one
+    operator and ECM's (one ``gamma``) on another; each column reaches
+    the dense solve."""
+    citeranks = [
+        CiteRank(alpha=alpha, tau_dir=tau_dir) for alpha, tau_dir in citerank
+    ]
+    ecms = [EffectiveContagion(alpha=alpha, gamma=gamma) for alpha in ecm_alphas]
+    for family in (citeranks, ecms):
+        operators = {id(m.fused_column(network).matrix) for m in family}
+        assert len(operators) == 1
+    solved = solve_methods(network, citeranks + ecms)
+    for method, (scores, _info) in zip(citeranks, solved):
+        assert_near(
+            scores, citerank_closed_form(network, method.alpha, method.tau_dir)
+        )
+    for method, (scores, _info) in zip(ecms, solved[len(citeranks):]):
+        assert_near(scores, ecm_closed_form(network, method.alpha, gamma))
 
 
 # ---------------------------------------------------------------------------

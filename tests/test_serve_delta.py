@@ -139,8 +139,9 @@ class TestDeltaUpdater:
     def test_cold_mode(self, toy, toy_delta):
         index = ScoreIndex(toy)
         index.add_method("PR")
-        report = DeltaUpdater(index, warm=False).apply(toy_delta)
-        assert not report.entries["PR"].warm_started
+        extended = DeltaUpdater(index).extend_network(toy_delta)
+        entries = index.refresh(extended, warm=False)
+        assert not entries["PR"].warm_started
 
 
 class TestWarmStartMatchesColdRecompute:
