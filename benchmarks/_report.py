@@ -2,8 +2,8 @@
 
 Benches print the reproduced tables/figure series to the *real* stdout
 (bypassing pytest capture, so the rows are visible in a plain
-``pytest benchmarks/ --benchmark-only`` run) and append the same text to
-``benchmarks/results/<bench>.txt`` for EXPERIMENTS.md bookkeeping.
+``pytest benchmarks/bench_*.py`` run) and write the same text to
+``benchmarks/results/<bench>.txt``, an untracked output directory.
 """
 
 from __future__ import annotations

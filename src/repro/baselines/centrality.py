@@ -62,26 +62,30 @@ class KatzCentrality(RankingMethod):
     def params(self) -> Mapping[str, Any]:
         return {"alpha": self.alpha}
 
-    def scores(self, network: CitationNetwork) -> FloatVector:
+    def fused_column(self, network: CitationNetwork):
+        """Katz as one column of a fused solve: ``alpha * C @ x`` plus
+        the citation counts, which are also the start.
+
+        ``C`` is the network's cached citation matrix, so every Katz
+        column of one network shares one SpMV per iteration.
+        """
         if network.n_papers == 0:
-            raise ConfigurationError("cannot rank an empty network")
+            return None
+        from repro.core.fused import FusedColumn
+
         matrix = network.citation_matrix
         base = np.asarray(matrix.sum(axis=1)).ravel()  # citation counts
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            return base + self.alpha * (matrix @ vector)
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
+        return FusedColumn(
+            label=self.name,
+            matrix=matrix,
+            alpha=self.alpha,
+            jump=base,
             start=base,
             normalize=False,
+            tol=self.tol,
+            max_iterations=self.max_iterations,
             raise_on_failure=False,
         )
-        self.last_convergence = info
-        return result
 
 
 class HITSAuthority(RankingMethod):

@@ -22,9 +22,7 @@ from typing import Any, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from repro._typing import FloatVector
 from repro.baselines.ram import retained_edge_weights
-from repro.core.power_iteration import power_iterate
 from repro.errors import ConfigurationError
 from repro.graph.cache import memoize_on
 from repro.graph.citation_network import CitationNetwork
@@ -99,37 +97,15 @@ class EffectiveContagion(RankingMethod):
             network, ("retained_matrix", self.gamma, reference), build
         )
 
-    def scores(self, network: CitationNetwork) -> FloatVector:
-        if network.n_papers == 0:
-            raise ConfigurationError("cannot rank an empty network")
-        retained = self.retained_matrix(network)
-        ones = np.ones(network.n_papers, dtype=np.float64)
-        base = retained @ ones  # RAM scores = chains of length 1
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            return base + self.alpha * (retained @ vector)
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            start=base,
-            normalize=False,
-            raise_on_failure=False,
-        )
-        self.last_convergence = info
-        return result
-
     def fused_column(self, network: CitationNetwork):
         """ECM as one column of a fused solve.
 
         Uses its own retained matrix rather than the shared stochastic
         operator; the fused solver groups columns by matrix, so ECM costs
         one extra SpMV per iteration but still shares the convergence
-        loop.  ``scores`` always starts from ``base`` (warm starts are
-        pointless for a finitely-terminating Katz series), so the column
-        does too.
+        loop.  The column always starts from ``base``, the RAM scores
+        (warm starts are pointless for a finitely-terminating Katz
+        series).
         """
         if network.n_papers == 0:
             return None

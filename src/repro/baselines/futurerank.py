@@ -27,10 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro._typing import FloatVector
-from repro.core.power_iteration import DEFAULT_TOLERANCE, power_iterate
+from repro.core.power_iteration import DEFAULT_TOLERANCE
 from repro.core.recency import recency_vector
 from repro.errors import ConfigurationError, GraphError
 from repro.graph.citation_network import CitationNetwork
@@ -38,13 +36,6 @@ from repro.graph.matrix import shared_operator
 from repro.ranking import RankingMethod
 
 __all__ = ["FutureRank"]
-
-
-def _normalized(vector: np.ndarray) -> np.ndarray:
-    total = vector.sum()
-    if total <= 0:
-        return np.full(vector.size, 1.0 / max(vector.size, 1))
-    return vector / total
 
 
 class FutureRank(RankingMethod):
@@ -119,59 +110,27 @@ class FutureRank(RankingMethod):
         """
         return recency_vector(network, self.rho, now=self.now)
 
-    def scores(self, network: CitationNetwork) -> FloatVector:
-        if network.n_papers == 0:
-            raise ConfigurationError("cannot rank an empty network")
-        if self.beta > 0 and not network.has_authors:
-            raise GraphError(
-                "FutureRank with beta > 0 requires author metadata"
-            )
-        n = network.n_papers
-        operator = shared_operator(network)
-        time_vector = self.recency_weights(network)
-        uniform_mass = max(1.0 - self.alpha - self.beta - self.gamma, 0.0) / n
-
-        incidence = network.author_matrix if self.beta > 0 else None
-        # Bound once: ``.T`` builds a fresh CSC wrapper on every call.
-        transposed = incidence.T if incidence is not None else None
-
-        def step(paper_scores: np.ndarray) -> np.ndarray:
-            updated = (
-                self.alpha * operator.apply(paper_scores)
-                + self.gamma * time_vector
-                + uniform_mass
-            )
-            if incidence is not None:
-                author_scores = _normalized(incidence @ paper_scores)
-                updated = updated + self.beta * _normalized(
-                    transposed @ author_scores
-                )
-            return updated
-
-        result, info = power_iterate(
-            step,
-            n,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            raise_on_failure=False,
-        )
-        self.last_convergence = info
-        return result
-
     def fused_column(self, network: CitationNetwork):
         """FutureRank as one column of a fused solve.
 
         The citation flow shares the stacked SpMV, ``gamma * R^T`` is
         the column's jump, and the uniform mass and the author
         reinforcement are the column's ``uniform`` and ``incidence``
-        terms, which the solver adds after the jump in the order of
-        :meth:`scores`'s step, so the bits are the same.  Every FR
-        column of one network shares the author products.
+        terms, which the solver adds after the jump, in the order of
+        the update in the module docstring.  Every FR column of one
+        network shares the author products.
+
+        Raises
+        ------
+        GraphError
+            If ``beta > 0`` and the network carries no author metadata.
         """
-        if network.n_papers == 0 or (
-            self.beta > 0 and not network.has_authors
-        ):
+        if network.n_papers == 0:
             return None
+        if self.beta > 0 and not network.has_authors:
+            raise GraphError(
+                "FutureRank with beta > 0 requires author metadata"
+            )
         from repro.core.fused import FusedColumn
 
         n = network.n_papers

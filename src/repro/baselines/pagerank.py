@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-import numpy as np
-
-from repro._typing import FloatVector
-from repro.core.power_iteration import (
-    DEFAULT_TOLERANCE,
-    power_iterate,
-    uniform_vector,
-)
+from repro.core.power_iteration import DEFAULT_TOLERANCE, uniform_vector
 from repro.errors import ConfigurationError
 from repro.graph.citation_network import CitationNetwork
 from repro.graph.matrix import shared_operator
@@ -58,25 +51,6 @@ class PageRank(RankingMethod):
 
     def params(self) -> Mapping[str, Any]:
         return {"alpha": self.alpha}
-
-    def scores(self, network: CitationNetwork) -> FloatVector:
-        if network.n_papers == 0:
-            raise ConfigurationError("cannot rank an empty network")
-        operator = shared_operator(network)
-        teleport = (1.0 - self.alpha) * uniform_vector(network.n_papers)
-
-        def step(vector: np.ndarray) -> np.ndarray:
-            return self.alpha * operator.apply(vector) + teleport
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            start=self.start_vector,
-        )
-        self.last_convergence = info
-        return result
 
     def fused_column(self, network: CitationNetwork):
         """PageRank as one column of a fused solve."""

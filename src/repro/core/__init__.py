@@ -5,7 +5,8 @@
 * :func:`attention_vector` — Eq. 2 (recent-citation shares).
 * :func:`recency_vector` / :func:`fit_decay_rate` — Eq. 3 and the per-
   dataset fitting of ``w`` (Section 4.2).
-* :func:`power_iterate` — the shared fixed-point solver.
+* :func:`power_iterate` — the solver for a fixed-point map that is
+  not a fused column (HITS).
 """
 
 from repro.core.attention import attention_counts, attention_vector

@@ -24,12 +24,12 @@ import numpy as np
 
 from repro._typing import FloatVector
 from repro.core.attention import attention_vector
-from repro.core.power_iteration import DEFAULT_TOLERANCE, power_iterate
+from repro.core.power_iteration import DEFAULT_TOLERANCE
 from repro.core.recency import fit_decay_rate, recency_vector
 from repro.errors import ConfigurationError
 from repro.graph.citation_network import CitationNetwork
 from repro.graph.matrix import StochasticOperator, shared_operator
-from repro.ranking import RankingMethod
+from repro.ranking import RankingMethod, solve_column
 
 __all__ = ["AttRank", "attrank_matrix"]
 
@@ -160,38 +160,23 @@ class AttRank(RankingMethod):
         return attention, recency
 
     def scores(self, network: CitationNetwork) -> FloatVector:
-        """Solve Equation 4 by power iteration.
+        """Solve Equation 4 by power iteration, as :meth:`fused_column`.
 
         Special case: with ``alpha = 0`` the fixed point is available in
         closed form (``AR = beta*A + gamma*T``), which the paper notes
         requires "a single iteration".
         """
+        if self.alpha != 0.0:
+            return solve_column(self, network)
         if network.n_papers == 0:
             raise ConfigurationError("cannot rank an empty network")
         attention, recency = self.jump_vectors(network)
-        jump = self.beta * attention + self.gamma * recency
-
-        if self.alpha == 0.0:
-            self.last_convergence = None
-            return jump
-
-        operator = shared_operator(network)
-
-        def step(vector: FloatVector) -> FloatVector:
-            return self.alpha * operator.apply(vector) + jump
-
-        result, info = power_iterate(
-            step,
-            network.n_papers,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            start=self.start_vector,
-        )
-        self.last_convergence = info
-        return result
+        self.last_convergence = None
+        return self.beta * attention + self.gamma * recency
 
     def fused_column(self, network: CitationNetwork):
-        """AttRank as one column of a fused solve (see Equation 4).
+        """AttRank as one column of a fused solve (see Equation 4):
+        ``alpha * S @ x + jump``, with ``S``'s dangling correction.
 
         The ``alpha = 0`` closed form needs no iteration and is left to
         :meth:`scores` (fused stacking would only waste a column).

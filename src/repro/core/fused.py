@@ -1,21 +1,23 @@
 """The fused multi-method solver — one SpMV pass per iteration, shared.
 
 Every iterative method in this library (AttRank, PageRank, CiteRank,
-FutureRank, ECM) power-iterates a fixed-point map of the shape
+FutureRank, ECM, Katz) power-iterates a fixed-point map of the shape
 
     x  <-  alpha * (M @ x  [+ dangling correction])  +  jump
 
-over the *same* citation operator (ECM over its own retained matrix).
-Solving them one at a time walks the sparse matrix once per method per
-iteration; this module stacks the methods' iterates and advances all of
-them with a **single sparse multiply per distinct operator per
+over the *same* citation operator (ECM and Katz over their own
+matrices).  Each method states its map once, as a :class:`FusedColumn`,
+and its ``scores()`` solves that column alone in this module's loop.
+Solving methods one at a time walks the sparse matrix once per method
+per iteration; this module stacks the methods' iterates and advances
+all of them with a **single sparse multiply per distinct operator per
 iteration**:
 
     Y = M @ X                                   (one SpMV, m columns)
     U = diag(alpha) applied per column:  U[:, j] = alpha_j * Y[:, j] + J[:, j]
 
-followed by the per-column hygiene the scalar loop performs (dangling
-correction, L1 renormalisation, residual tracking).  FutureRank adds
+followed by per-column hygiene (dangling correction, L1
+renormalisation, residual tracking).  FutureRank adds
 two stacked terms after the jump: a uniform mass, and its author
 reinforcement ``beta * norm(B.T @ norm(B @ X))``, computed with one
 product each way over the whole stack per distinct incidence matrix
@@ -40,27 +42,29 @@ stacks are solved in column batches sized to
 (batching is pure scheduling — per-column arithmetic is unchanged), and
 :func:`solve_methods` only stacks operator groups of at least
 :data:`FUSE_MIN_COLUMNS` columns, the measured crossover where SpMV
-sharing starts to beat the scalar loop's leaner per-iteration traffic.
+sharing starts to beat solving each column alone.
 
 Bit-identity contract
 ---------------------
-The fused path is **bit-identical** to the per-method
-:func:`~repro.core.power_iteration.power_iterate` loop, for any subset
-of methods and any drop order.  This is not a
-tolerance claim — the golden fixtures and hypothesis properties assert
-``np.array_equal``.  It holds because every fused operation is
-elementwise equal to its scalar counterpart:
+A column solved alone — which is what each method's ``scores()`` does
+(:func:`repro.ranking.solve_column`) — and the same column in any stack
+give **bit-identical** results, for any subset of columns and any drop
+order.  This is not a tolerance claim — the golden fixtures and
+hypothesis properties assert ``np.array_equal``.  It holds because
+every stacked operation is elementwise equal to its one-column
+counterpart:
 
-* ``M @ X`` computes each output column exactly as ``M @ X[:, j]``;
+* ``M @ X`` computes each output column exactly as ``M @ X[:, j]``: the
+  multi-vector kernels (``csr_matvecs``) accumulate each column in the
+  order of the 1-D ``csr_matvec`` that a one-column stack runs;
 * column reductions (``X[:, j].sum()``) use numpy's pairwise summation,
   whose reduction tree depends only on the element *count*, not the
   stride — a strided column sums bit-identically to a contiguous copy;
 * the 2-D broadcasts (``alpha_row * Y + J``, ``U / totals``,
   ``np.abs(U - X)``) are elementwise, so column ``j`` of the result
   equals the 1-D expression on column ``j``;
-* ``B @ X`` and ``B.T @ A`` run scipy's ``csr_matvecs`` and
-  ``csc_matvecs``, which accumulate each output column in the order
-  the 1-D ``csr_matvec`` and ``csc_matvec`` of the scalar step do;
+* ``B @ X`` and ``B.T @ A`` likewise run ``csr_matvecs`` and
+  ``csc_matvecs``, or ``csr_matvec`` and ``csc_matvec`` at one column;
 * adding ``-0.0`` leaves every value's bits alone (adding ``0.0``
   does not: it turns ``-0.0`` into ``0.0``), so columns without
   FutureRank's terms ride its broadcast adds;
@@ -92,11 +96,14 @@ try:  # pragma: no cover - import guard exercised by environment
     # (they accumulate into y).  Calling them directly skips a fresh
     # megabyte-scale result allocation per iteration; values are
     # identical because scipy's own path is exactly zeros() + the
-    # kernel.
+    # kernel.  The 1-D ``*_matvec`` kernels give a column the same bits
+    # as the multi-vector ones, at about 0.4 of their cost.
+    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
     from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 except ImportError:  # pragma: no cover
-    _csc_matvecs = _csr_matvecs = None
+    _csc_matvec = _csc_matvecs = _csr_matvec = _csr_matvecs = None
 
 from repro._typing import FloatVector
 from repro.errors import ConfigurationError, ConvergenceError
@@ -130,9 +137,9 @@ MIN_STACK_WIDTH = 16
 #: :func:`solve_methods` stacks them.  Below this the stacked loop's
 #: extra full-stack passes (operand gather, transposed write-back,
 #: broadcast affine) cost more than the SpMV sharing recoups — the
-#: measured crossover sits near 8 columns — so narrower groups take
-#: their methods' scalar ``scores()`` path instead.  Results are
-#: bit-identical either way; only wall-clock changes.
+#: measured crossover sits near 8 columns — so narrower groups call
+#: their methods' ``scores()``, which solve each column alone.  Results
+#: are bit-identical either way; only wall-clock changes.
 FUSE_MIN_COLUMNS = 8
 
 
@@ -370,15 +377,16 @@ def _product(
     ``block`` and ``out`` are C-order ``(rows, columns)`` stacks.  The
     kernels are the ones scipy's own ``@`` runs (``csr_matvecs``, and
     ``csc_matvecs`` for the transpose, whose CSC arrays are ``matrix``'s
-    CSR arrays), so each column gets the bits of the 1-D product.
+    CSR arrays), so each column gets the bits of the 1-D product.  A
+    one-column stack runs the 1-D kernels themselves (``csr_matvec``
+    and ``csc_matvec``).
     """
     if _csr_matvecs is None:  # pragma: no cover
         np.copyto(out, (matrix.T if transpose else matrix) @ block)
         return out
     rows, cols = matrix.shape
-    kernel = _csr_matvecs
     if transpose:
-        rows, cols, kernel = cols, rows, _csc_matvecs
+        rows, cols = cols, rows
     # The kernel trusts these sizes, and writes through out's memory.
     if not (
         out.flags.c_contiguous
@@ -390,16 +398,15 @@ def _product(
             f"{block.shape} stack into {out.shape}"
         )
     out.fill(0.0)
-    kernel(
-        rows,
-        cols,
-        block.shape[1],
-        matrix.indptr,
-        matrix.indices,
-        matrix.data,
-        block.ravel(),
-        out.ravel(),
-    )
+    arrays = (matrix.indptr, matrix.indices, matrix.data)
+    if block.shape[1] == 1:
+        kernel = _csc_matvec if transpose else _csr_matvec
+        kernel(rows, cols, *arrays, block.ravel(), out.ravel())
+    else:
+        kernel = _csc_matvecs if transpose else _csr_matvecs
+        kernel(
+            rows, cols, block.shape[1], *arrays, block.ravel(), out.ravel()
+        )
     return out
 
 
@@ -407,10 +414,9 @@ def _normalize_columns(stack: np.ndarray) -> None:
     """Divide each column of ``stack`` by its sum, in place.
 
     A column whose sum is not positive becomes the uniform vector, as
-    in FutureRank's scalar ``_normalized``.  Each total is the 1-D
-    pairwise sum of its strided column (never an ``axis=0``
-    reduction), and one broadcast divides, so every column gets the
-    scalar bits.
+    FutureRank's ``norm`` defines it.  Each total is the 1-D pairwise
+    sum of its strided column (never an ``axis=0`` reduction), and one
+    broadcast divides, so every column gets its one-column bits.
     """
     totals = np.array(
         [stack[:, column].sum() for column in range(stack.shape[1])],
@@ -445,15 +451,12 @@ class FusedSolver:
 
     # ------------------------------------------------------------------
     def _prepared_start(self, column: FusedColumn) -> np.ndarray:
-        """The column's start vector, with power_iterate's semantics."""
+        """The column's start vector: uniform when unset, else a copy,
+        scaled to sum 1 when the column normalises."""
         n = self._n
         if column.start is None:
             return np.full(n, 1.0 / n, dtype=np.float64)
         vector = np.asarray(column.start, dtype=np.float64).copy()
-        if vector.shape != (n,):
-            raise ConfigurationError(
-                f"start vector has shape {vector.shape}, expected ({n},)"
-            )
         total = vector.sum()
         if column.normalize and total > 0:
             vector /= total
@@ -497,6 +500,7 @@ class FusedSolver:
             for name, vector in (
                 ("jump", column.jump if column.matrix is not None else None),
                 ("dangling mask", column.dangling),
+                ("start vector", column.start),
             ):
                 if vector is not None and np.shape(vector) != (n,):
                     raise ConfigurationError(
@@ -702,9 +706,9 @@ class FusedSolver:
             # --- one SpMV per distinct operator, amortised over its
             # columns; bare-step columns have no linear part to compute.
             # Operands are materialised from XT's rows: a single-column
-            # group reuses the row buffer as an (n, 1) view, wider
-            # groups pay one gather + transpose (``order="C"`` matters:
-            # plain np.array would keep the transposed layout).
+            # group multiplies its row as a 1-D vector, wider groups pay
+            # one gather + transpose (``order="C"`` matters: plain
+            # np.array would keep the transposed layout).
             Y: np.ndarray | None = None
             stacked = False  # whether op_buf holds XT.T this iteration
             for matrix_key, positions, covers_all in plan.groups:
@@ -714,16 +718,20 @@ class FusedSolver:
                     Y = _product(prepared[matrix_key], op_buf, y_buf)
                     break
                 Y = y_buf
+                matrix = prepared[matrix_key]
                 if len(positions) == 1:
-                    block = XT[positions[0]][:, None]
+                    # A 1-D operand: scipy sends an (n, 1) one to the
+                    # multi-vector kernel, at over twice the cost.
+                    Y[:, positions[0]] = matrix @ XT[positions[0]]
                 else:
-                    block = np.array(XT[positions].T, order="C")
-                Y[:, positions] = prepared[matrix_key] @ block
+                    Y[:, positions] = matrix @ np.array(
+                        XT[positions].T, order="C"
+                    )
 
             # --- dangling corrections, applied to the SpMV result
             # before damping (mirrors StochasticOperator.apply).  Rows
             # of XT are contiguous, so each masked sum is a cheap
-            # gather; when every column has a mask the scalar adds
+            # gather; when every column has a mask the per-column adds
             # collapse into one broadcast.
             if plan.dangling:
                 corrections = np.zeros(k)
@@ -736,8 +744,8 @@ class FusedSolver:
                     rows = XT if len(positions) == k else XT[positions]
                     # rows[:, mask] comes back F-ordered (advanced
                     # indexing on the trailing axis); the C copy makes
-                    # axis-1 sums reduce each row exactly like the
-                    # scalar path's 1-D masked sums.
+                    # axis-1 sums reduce each row exactly like a
+                    # one-column solve's 1-D masked sums.
                     gathered = np.ascontiguousarray(rows[:, mask])
                     corrections[positions] = gathered.sum(axis=1) / n
                 if plan.dangling_all:
@@ -748,7 +756,7 @@ class FusedSolver:
 
             # --- the affine update, in place on the SpMV result: one
             # elementwise broadcast, so each column gets exactly its
-            # scalar expression.
+            # 1-D expression.
             if not plan.step_positions:
                 np.multiply(Y, alphas_row, out=Y)
                 np.add(Y, J, out=Y)
@@ -769,7 +777,7 @@ class FusedSolver:
                             + J[:, position]
                         )
 
-            # --- FutureRank's terms, in its scalar step's order: the
+            # --- FutureRank's terms, in the order of its update: the
             # uniform mass, then the author reinforcement.  A stack
             # without FutureRank columns skips both.
             if plan.uniform is not None:
@@ -807,8 +815,8 @@ class FusedSolver:
 
             # --- residuals.  XT's bits are dead after this point (the
             # next iterate is UT), so it doubles as the |U - X| scratch
-            # buffer; row sums then keep the pairwise reduction of the
-            # scalar path.
+            # buffer; row sums then keep the pairwise reduction of a
+            # 1-D ``.sum()``.
             np.subtract(UT, XT, out=XT)
             np.abs(XT, out=XT)
             residuals = XT.sum(axis=1).tolist()
@@ -892,11 +900,13 @@ def solve_methods(
 
     Methods that expose a fused column
     (:meth:`~repro.ranking.RankingMethod.fused_column` returns a spec)
-    are stacked and solved together; the rest fall back to their own
-    ``scores()`` — closed forms (CC, RAM, ATT-ONLY) and structurally
-    unfusable iterations (WSDM's bipartite multi-matrix loop).  Each
-    method's ``last_convergence`` is populated exactly as a direct
-    ``scores()`` call would.
+    are stacked and solved together where at least
+    :data:`FUSE_MIN_COLUMNS` of them share an operator; the rest call
+    their own ``scores()``, which solves a narrower group's columns one
+    at a time, and runs closed forms (CC, RAM, ATT-ONLY) and
+    structurally unfusable iterations (WSDM's bipartite multi-matrix
+    loop, HITS).  Each method's ``last_convergence`` is populated
+    exactly as a direct ``scores()`` call would.
 
     Returns ``(scores, info)`` per method, in input order; ``info`` is
     ``None`` for closed forms.  The vectors are bit-identical to
@@ -915,8 +925,8 @@ def solve_methods(
             columns.append(column)
             positions.append(position)
     # Stacking only pays once enough columns share an operator (see
-    # FUSE_MIN_COLUMNS); narrower groups fall through to the scalar
-    # loop below with bit-identical results.
+    # FUSE_MIN_COLUMNS); narrower groups fall through to one-column
+    # solves below with bit-identical results.
     group_sizes: dict[int, int] = {}
     for column in columns:
         key = id(column.matrix)

@@ -1,18 +1,16 @@
-"""Generic power-method solver with convergence diagnostics.
+"""Power-method helpers: start vectors, the paper's tolerance, and a
+solver for an arbitrary fixed-point map.
 
-Every iterative method in this library (AttRank, PageRank, CiteRank,
-FutureRank, ECM) is a fixed-point iteration ``x <- F(x)`` on a probability
-vector.  This module centralises the loop semantics: start vector
-handling, L1 residual tracking, tolerance/budget control, and the strict
-convergence check that the paper's experiments use (epsilon <= 1e-12,
-Section 4.3).
-
-Since the fused-solver rework, the loop itself lives in
-:class:`repro.core.fused.FusedSolver`; :func:`power_iterate` is the
-degenerate one-column form.  Delegating (rather than keeping two loops)
-makes "a single column behaves exactly like the legacy solver" a
-structural property instead of a test-only promise — every scalar solve
-in the suite exercises the same code the stacked multi-method path runs.
+The loop itself lives in :class:`repro.core.fused.FusedSolver`.
+AttRank, PageRank, CiteRank, FutureRank, ECM and Katz describe their
+iteration as a :class:`~repro.core.fused.FusedColumn` and solve it
+there directly.  :func:`power_iterate` runs any other map
+``x <- F(x)`` as a bare-step column of the same loop, with the same
+start handling, L1 residual tracking, tolerance/budget control, and the
+strict convergence check that the paper's experiments use
+(epsilon <= 1e-12, Section 4.3).  In this library HITS
+(:class:`~repro.baselines.centrality.HITSAuthority`), whose step
+alternates two normalised products, is its only caller.
 """
 
 from __future__ import annotations
@@ -53,10 +51,9 @@ def grow_start_vector(previous: FloatVector, n: int) -> FloatVector:
     new papers get the previous mean entry, so the vector's overall
     scale survives.  That matters for unnormalised fixed points like
     CiteRank's traffic vector (solved with ``normalize=False``);
-    stochastic iterations renormalise their start inside
-    :func:`power_iterate` anyway.  Theorem 1 guarantees the fixed point
-    itself is unchanged by the start — only the iteration count
-    improves.
+    stochastic iterations renormalise their start inside the solver
+    anyway.  Theorem 1 guarantees the fixed point itself is unchanged
+    by the start — only the iteration count improves.
 
     Raises
     ------
@@ -121,8 +118,8 @@ def power_iterate(
     raise_on_failure:
         Raise :class:`ConvergenceError` if the budget is exhausted
         (default).  With ``False``, return the last iterate with
-        ``converged=False`` — needed for FutureRank, which the paper
-        notes "did not, in practice, converge under all possible
+        ``converged=False``, as FutureRank's column does: the paper
+        notes it "did not, in practice, converge under all possible
         settings".
 
     Returns

@@ -10,7 +10,6 @@ single uniform handle for running, tuning and comparing them.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -27,6 +26,7 @@ __all__ = [
     "RankingMethod",
     "ConvergenceInfo",
     "ranking_from_scores",
+    "solve_column",
     "top_k_indices",
 ]
 
@@ -54,12 +54,14 @@ class ConvergenceInfo:
     residual_history: tuple[float, ...]
 
 
-class RankingMethod(ABC):
-    """Abstract base class of all ranking methods.
+class RankingMethod:
+    """Base class of all ranking methods.
 
     Subclasses set the class attribute :attr:`name` (the short label used
-    in the paper's plots: ``"AR"``, ``"CR"``, ``"FR"``, ...), implement
-    :meth:`scores`, and report their configuration from :meth:`params`.
+    in the paper's plots: ``"AR"``, ``"CR"``, ``"FR"``, ...), report
+    their configuration from :meth:`params`, and either describe their
+    iteration by :meth:`fused_column` or implement :meth:`scores`
+    themselves (closed forms, and iterations of another shape).
     Iterative methods additionally expose a :attr:`last_convergence`
     attribute after :meth:`scores` has run.
     """
@@ -82,9 +84,13 @@ class RankingMethod(ABC):
     #: Populated by iterative subclasses after ``scores()``.
     last_convergence: ConvergenceInfo | None = None
 
-    @abstractmethod
     def scores(self, network: CitationNetwork) -> FloatVector:
-        """Compute one non-negative score per paper of ``network``."""
+        """Compute one non-negative score per paper of ``network``.
+
+        The default solves :meth:`fused_column` alone (see
+        :func:`solve_column`); methods without a column override this.
+        """
+        return solve_column(self, network)
 
     def fused_column(
         self, network: CitationNetwork
@@ -92,14 +98,14 @@ class RankingMethod(ABC):
         """The method's column spec for the fused multi-method solver.
 
         Iterative methods whose update is an affine map over a sparse
-        operator return a :class:`~repro.core.fused.FusedColumn` so
-        :func:`~repro.core.fused.solve_methods` can stack them into one
-        SpMV pass per iteration.  The default ``None`` means "not
+        operator return a :class:`~repro.core.fused.FusedColumn`, the
+        one description of their iteration: :meth:`scores` solves it
+        alone, and :func:`~repro.core.fused.solve_methods` stacks it
+        into one SpMV pass per iteration with other columns, with the
+        same bits (docs/SOLVER.md).  The default ``None`` means "not
         fusable" — closed forms (citation count, RAM, ATT-ONLY) and
-        structurally different iterations (WSDM) fall back to
-        :meth:`scores`.  A returned column must reproduce ``scores()``
-        **bit-for-bit** in float64; the golden fixtures and hypothesis
-        properties enforce this.
+        structurally different iterations (WSDM, HITS) implement
+        :meth:`scores` instead.
         """
         return None
 
@@ -118,6 +124,32 @@ class RankingMethod(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+def solve_column(
+    method: RankingMethod, network: CitationNetwork
+) -> FloatVector:
+    """Solve ``method``'s fused column alone; set its ``last_convergence``.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``network`` has no papers.
+    NotImplementedError
+        If ``method`` has no fused column for ``network``.
+    """
+    if network.n_papers == 0:
+        raise ConfigurationError("cannot rank an empty network")
+    column = method.fused_column(network)
+    if column is None:
+        raise NotImplementedError(
+            f"{type(method).__name__} has no fused column to solve"
+        )
+    from repro.core.fused import FusedSolver  # import cycle guard
+
+    ((vector, info),) = FusedSolver([column], network.n_papers).solve()
+    method.last_convergence = info
+    return vector
 
 
 def _checked_scores(scores: FloatVector) -> np.ndarray:

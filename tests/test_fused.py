@@ -40,6 +40,7 @@ FUSABLE = [
     ("CR", dict(tau_dir=2.0)),
     ("FR", dict(alpha=0.4, beta=0.1, rho=-0.3)),
     ("ECM", dict(alpha=0.3, gamma=0.4)),
+    ("KATZ", dict(alpha=0.3)),
 ]
 
 
@@ -214,8 +215,8 @@ class TestSolveMethodsDispatch:
             )
             np.testing.assert_array_equal(scores, want)
             assert info is not None
-        # The 5-method panel's largest operator group is 4 wide, so
-        # every stacked solve was a scalar (m=1) delegation.
+        # The 6-method panel's largest operator group is 4 wide, so
+        # every solve was one method's own one-column scores().
         assert all(width == 1 for width in stacked)
 
     def test_wide_grid_is_stacked(self, net, monkeypatch):
@@ -272,6 +273,23 @@ class TestFusedColumnValidation:
             ConfigurationError, match=r"'long' jump has shape \(5,\)"
         ):
             FusedSolver([column], 4).solve()
+
+    def test_start_of_the_wrong_length_names_its_column(self):
+        columns = [
+            FusedColumn(
+                label=label,
+                matrix=sp.identity(4, format="csr"),
+                alpha=0.5,
+                jump=np.full(4, 0.125),
+                start=np.full(size, 1.0 / size),
+            )
+            for label, size in (("first", 4), ("second", 4), ("third", 5))
+        ]
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'third' start vector has shape \(5,\)",
+        ):
+            FusedSolver(columns, 4).solve()
 
     def test_dangling_mask_of_the_wrong_length_is_refused(self):
         column = FusedColumn(
@@ -469,7 +487,8 @@ class TestStackedFutureRank:
     def test_product_refuses_mismatched_stacks(self, authored):
         """The sparse kernels trust their sizes, so a stack of the
         wrong shape, or an output that is not C-contiguous, is refused
-        before they run."""
+        before they run.  One column runs the 1-D kernels, behind the
+        same check, and gets the bits of scipy's 1-D ``@`` both ways."""
         incidence = authored.author_matrix
         authors, papers = incidence.shape
         block = np.ones((papers, 3))
@@ -485,6 +504,26 @@ class TestStackedFutureRank:
             fused_module._product(
                 incidence, block, np.empty((papers, 3)), transpose=True
             )
+        rng = np.random.default_rng(3)
+        column = rng.random((papers, 1))
+        out = fused_module._product(incidence, column, np.empty((authors, 1)))
+        assert out[:, 0].tobytes() == (incidence @ column[:, 0]).tobytes()
+        row = rng.random((authors, 1))
+        out = fused_module._product(
+            incidence, row, np.empty((papers, 1)), transpose=True
+        )
+        assert out[:, 0].tobytes() == (incidence.T @ row[:, 0]).tobytes()
+        for wrong_block, out, transpose in [
+            (column, np.empty((authors + 1, 1)), False),
+            (np.ones((papers + 1, 1)), np.empty((authors, 1)), False),
+            (column, np.empty((authors, 2))[:, :1], False),
+            (row, np.empty((papers - 1, 1)), True),
+            (np.ones((authors + 1, 1)), np.empty((papers, 1)), True),
+        ]:
+            with pytest.raises(ValueError, match="cannot multiply"):
+                fused_module._product(
+                    incidence, wrong_block, out, transpose=transpose
+                )
 
     def test_uniform_and_incidence_need_a_matrix(self, authored):
         with pytest.raises(ConfigurationError, match="require a matrix"):

@@ -10,6 +10,8 @@ then assert the structural invariants of the paper:
 * AttRank's fixed point is independent of the starting vector,
 * AttRank, PageRank, CiteRank, ECM and Katz match a dense closed-form
   solve built by hand from the citation lists, scalar and stacked,
+* FutureRank matches a dense iteration of its update, written from its
+  definition with the author incidence built by hand,
 * metric ranges and identities (Spearman symmetry, nDCG bounds),
 * split ground truth is consistent under every ratio,
 * stream-replay equivalence: a finalized micro-batched replay of any
@@ -31,6 +33,7 @@ from repro.core.attention import attention_vector
 from repro.baselines.centrality import KatzCentrality
 from repro.baselines.citerank import CiteRank
 from repro.baselines.ecm import EffectiveContagion
+from repro.baselines.futurerank import FutureRank
 from repro.baselines.pagerank import PageRank
 from repro.core.attrank import AttRank, attrank_matrix
 from repro.core.fused import FUSE_MIN_COLUMNS, solve_methods
@@ -427,28 +430,142 @@ def test_citerank_ecm_katz_match_closed_form(
     st.lists(citerank_settings, min_size=FUSE_MIN_COLUMNS, max_size=12),
     st.lists(tenths, min_size=FUSE_MIN_COLUMNS, max_size=12),
     st.integers(1, 10).map(lambda step: step / 10),
+    st.lists(tenths, min_size=FUSE_MIN_COLUMNS, max_size=12),
 )
 @settings(max_examples=20, deadline=None)
 def test_fused_citerank_and_ecm_match_closed_form(
-    network, citerank, ecm_alphas, gamma
+    network, citerank, ecm_alphas, gamma, katz_alphas
 ):
     """One ``solve_methods`` pass stacks CiteRank's columns on one
-    operator and ECM's (one ``gamma``) on another; each column reaches
-    the dense solve."""
+    operator, ECM's (one ``gamma``) on another and Katz's on the
+    citation matrix; each column reaches the dense solve."""
     citeranks = [
         CiteRank(alpha=alpha, tau_dir=tau_dir) for alpha, tau_dir in citerank
     ]
     ecms = [EffectiveContagion(alpha=alpha, gamma=gamma) for alpha in ecm_alphas]
-    for family in (citeranks, ecms):
+    katzes = [KatzCentrality(alpha=alpha) for alpha in katz_alphas]
+    for family in (citeranks, ecms, katzes):
         operators = {id(m.fused_column(network).matrix) for m in family}
         assert len(operators) == 1
-    solved = solve_methods(network, citeranks + ecms)
+    solved = solve_methods(network, citeranks + ecms + katzes)
     for method, (scores, _info) in zip(citeranks, solved):
         assert_near(
             scores, citerank_closed_form(network, method.alpha, method.tau_dir)
         )
     for method, (scores, _info) in zip(ecms, solved[len(citeranks):]):
         assert_near(scores, ecm_closed_form(network, method.alpha, gamma))
+    citations = citation_chains(network, lambda _: 1.0)
+    for method, (scores, _info) in zip(
+        katzes, solved[len(citeranks) + len(ecms):]
+    ):
+        assert_near(scores, katz_closed_form(citations, method.alpha))
+
+
+@st.composite
+def authored_dags(draw):
+    """A :func:`tied_dags` network with drawn author lists: each paper
+    has up to three authors out of five, and may have none."""
+    network = draw(tied_dags())
+    authors = draw(
+        st.lists(
+            st.lists(st.integers(0, 4), max_size=3),
+            min_size=network.n_papers,
+            max_size=network.n_papers,
+        )
+    )
+    return CitationNetwork(
+        network.paper_ids,
+        network.publication_times,
+        network.citing,
+        network.cited,
+        paper_authors=authors,
+    )
+
+
+def futurerank_steps(network, alpha, beta, gamma, rho, steps, tol=None):
+    """FutureRank's update iterated densely from its definition:
+
+        x <- alpha S x + beta norm(B' norm(B x)) + gamma R + (1 - alpha
+             - beta - gamma) / n,
+
+    renormalised to sum 1 after each step, from the uniform vector.
+    ``B[a, p] = 1`` when ``a`` wrote ``p``, ``R`` decays as
+    ``exp(rho * age)`` at ``tN``, and ``norm`` divides a vector by its
+    sum (the uniform vector when the sum is 0).  Stops after ``steps``
+    steps, or once a step moves less than ``tol`` in L1.
+    """
+    n = network.n_papers
+    dense_s = paper_s(network)
+    incidence = np.zeros((5, n))
+    for paper, authors in enumerate(network.paper_authors):
+        incidence[list(authors), paper] = 1.0
+    times = np.asarray(network.publication_times, dtype=np.float64)
+    recency = np.exp(rho * (times.max() - times))
+    recency /= recency.sum()
+
+    def norm(vector):
+        total = vector.sum()
+        if total > 0:
+            return vector / total
+        return np.full(len(vector), 1 / len(vector))
+
+    x = np.full(n, 1.0 / n)
+    for _ in range(steps):
+        updated = (
+            alpha * dense_s @ x
+            + beta * norm(incidence.T @ norm(incidence @ x))
+            + gamma * recency
+            + (1.0 - alpha - beta - gamma) / n
+        )
+        updated /= updated.sum()
+        moved = np.abs(updated - x).sum()
+        x = updated
+        if tol is not None and moved <= tol:
+            break
+    return x
+
+
+#: FutureRank settings in tenths with alpha + beta + gamma <= 1.
+futurerank_settings = st.tuples(
+    st.integers(0, 9), st.integers(0, 10), st.integers(0, 10)
+).filter(lambda s: sum(s) <= 10).map(lambda s: tuple(v / 10 for v in s))
+
+
+@given(
+    authored_dags(),
+    futurerank_settings,
+    st.sampled_from((-0.3, -0.62, -1.5)),
+    st.integers(1, 30),
+)
+@settings(max_examples=40, deadline=None)
+def test_futurerank_matches_its_definition(network, setting, rho, steps):
+    """FutureRank's author term is not linear, so it has no closed form:
+    ``k`` library iterations match ``k`` dense steps of the update, and
+    a converged solve matches the dense iteration run to the library's
+    tolerance."""
+    alpha, beta, gamma = setting
+    method = FutureRank(
+        alpha=alpha, beta=beta, gamma=gamma, rho=rho, max_iterations=steps
+    )
+    scores = method.scores(network)
+    # The solve stops early when a step moves less than its tolerance.
+    steps = method.last_convergence.iterations
+    np.testing.assert_allclose(
+        scores,
+        futurerank_steps(network, alpha, beta, gamma, rho, steps),
+        rtol=0, atol=1e-12,
+    )
+    converging = FutureRank(rho=rho, max_iterations=1000)
+    scores = converging.scores(network)
+    assert converging.last_convergence.converged
+    np.testing.assert_allclose(
+        scores,
+        futurerank_steps(
+            network, converging.alpha, converging.beta, converging.gamma,
+            rho, 1000, tol=converging.tol,
+        ),
+        rtol=0, atol=1e-9,
+    )
 
 
 # ---------------------------------------------------------------------------
